@@ -183,8 +183,8 @@ int main() {
               0.0, false);
   }
 
-  // Stage metrics for one loaded configuration, through the runtime's
-  // JSON summary (the same numbers ride soc::write_chrome_trace).
+  // Stage metrics for one loaded configuration: this serve's share of the
+  // runtime.stage.* series on the global registry.
   {
     avd::core::AdaptiveSystemConfig cfg;
     cfg.run_detectors = false;
@@ -193,9 +193,29 @@ int main() {
     sc.detect_workers = 4;
     sc.simulated_accel_ms = 4.0;
     avd::runtime::StreamServer server(system, sc);
+    avd::obs::MetricsRegistry& registry = avd::obs::MetricsRegistry::global();
+    const char* const stages[] = {"ingest", "control", "detect", "report"};
+    std::uint64_t before[4] = {};
+    for (int i = 0; i < 4; ++i)
+      before[i] = registry
+                      .counter("runtime.stage.processed", {{"stage", stages[i]}})
+                      .value();
     (void)server.serve_sequences(make_streams(4, 25));
-    std::printf("stage metrics (4 streams x 4 workers):\n%s\n",
-                avd::runtime::metrics_to_json(server.metrics()).c_str());
+    std::printf("stage metrics (4 streams x 4 workers):\n");
+    for (int i = 0; i < 4; ++i) {
+      const avd::obs::Labels labels{{"stage", stages[i]}};
+      std::printf(
+          "  %-8s processed=%llu p50=%.3f ms (latency over the whole run)\n",
+          stages[i],
+          static_cast<unsigned long long>(
+              registry.counter("runtime.stage.processed", labels).value() -
+              before[i]),
+          static_cast<double>(registry.histogram("runtime.stage.latency_ns",
+                                                 labels)
+                                  .percentile_ns(0.5)) /
+              1e6);
+    }
+    std::printf("\n");
   }
   // Tail latency over every frame the benchmark served, from the always-on
   // telemetry histogram the runtime feeds per frame. This is the headline

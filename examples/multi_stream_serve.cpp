@@ -2,14 +2,16 @@
 //
 // Serves four concurrent scripted drives (different seeds, one passing
 // through countryside) through the adaptive pipeline with a 4-worker detect
-// pool, prints per-stream adaptive summaries and per-stage latency metrics,
-// then exports worker timeline + metrics as a Chrome/Perfetto trace.
+// pool, prints per-stream adaptive summaries and per-stage latency metrics
+// (the runtime.stage.* series on the global metrics registry), then exports
+// the worker timeline as a Chrome/Perfetto trace.
 //
 //   build/examples/multi_stream_serve [trace.json]
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "avd/obs/metrics.hpp"
 #include "avd/runtime/stream_server.hpp"
 #include "avd/runtime/thread_pool.hpp"
 #include "avd/soc/trace_export.hpp"
@@ -82,25 +84,29 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nper-stage metrics:\n");
-  for (const avd::runtime::StageSnapshot& s : server.metrics().snapshot()) {
-    std::printf("  %-8s processed=%-5llu dropped=%-3llu queue_hw=%-3zu "
+  avd::obs::MetricsRegistry& registry = avd::obs::MetricsRegistry::global();
+  for (const char* stage : {"ingest", "control", "detect", "report"}) {
+    const avd::obs::Labels labels{{"stage", stage}};
+    const avd::obs::HistogramSummary latency =
+        registry.histogram("runtime.stage.latency_ns", labels).summary();
+    std::printf("  %-8s processed=%-5llu dropped=%-3llu queue_hw=%-3.0f "
                 "p50=%-8.2fms p95=%-8.2fms p99=%-8.2fms\n",
-                s.stage.c_str(),
-                static_cast<unsigned long long>(s.processed),
-                static_cast<unsigned long long>(s.dropped),
-                s.queue_high_water, static_cast<double>(s.p50_ns) / 1e6,
-                static_cast<double>(s.p95_ns) / 1e6,
-                static_cast<double>(s.p99_ns) / 1e6);
+                stage,
+                static_cast<unsigned long long>(
+                    registry.counter("runtime.stage.processed", labels).value()),
+                static_cast<unsigned long long>(
+                    registry.counter("runtime.stage.dropped", labels).value()),
+                registry.gauge("runtime.stage.queue_high_water", labels).value(),
+                static_cast<double>(latency.p50_ns) / 1e6,
+                static_cast<double>(latency.p95_ns) / 1e6,
+                static_cast<double>(latency.p99_ns) / 1e6);
   }
 
-  // Timeline + metrics out through the soc trace path: load the file in
+  // Worker timeline out through the soc trace path: load the file in
   // chrome://tracing or ui.perfetto.dev.
-  avd::soc::EventLog trace_log = server.server_log();
-  avd::runtime::append_metrics_events(
-      server.metrics(), avd::soc::TimePoint{0}, trace_log);
-  avd::soc::write_chrome_trace(trace_log, trace_path);
-  std::printf("\nwrote worker/metrics trace to %s (%zu events)\n",
-              trace_path.c_str(), trace_log.size());
+  avd::soc::write_chrome_trace(server.server_log(), trace_path);
+  std::printf("\nwrote worker trace to %s (%zu events)\n", trace_path.c_str(),
+              server.server_log().size());
 
   // Sanity: stream 0 served concurrently == stream 0 run sequentially.
   const avd::core::AdaptiveRunReport sequential = system.run(streams[0]);

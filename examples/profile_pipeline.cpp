@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(profile.samples),
               profile.stacks.size());
 
-  // --- Metrics: stage gauges pushed into the registry, then both dumps. ---
-  avd::runtime::publish_runtime_metrics(server.metrics(), registry);
+  // --- Metrics: the registry (runtime.stage.* included), both dumps. -----
   const std::string metrics_json = registry.to_json();
   std::printf("\nmetrics (JSON):\n%s\n", metrics_json.c_str());
   std::printf("\nmetrics (Prometheus):\n%s", registry.to_prometheus().c_str());

@@ -11,6 +11,7 @@
 #   scripts/check.sh --tsan-only
 #   scripts/check.sh --chaos-only   # just the chaos lane (fault injection +
 #                                   # admission + overload suites under TSan)
+#   scripts/check.sh --asan-only    # the whole ctest suite under ASan+UBSan
 #
 # The TSan pass builds into build-tsan/ (kept out of git by .gitignore) with
 # -DAVD_SANITIZE=thread and runs only the test binaries whose code runs
@@ -21,8 +22,26 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 TSAN_ONLY=0
 CHAOS_ONLY=0
+ASAN_ONLY=0
 [[ "${1:-}" == "--tsan-only" ]] && TSAN_ONLY=1
 [[ "${1:-}" == "--chaos-only" ]] && CHAOS_ONLY=1
+[[ "${1:-}" == "--asan-only" ]] && ASAN_ONLY=1
+
+# The memory-safety lane: every ctest case under AddressSanitizer +
+# UndefinedBehaviorSanitizer, built into build-asan/. Any report aborts its
+# test (halt_on_error), which fails ctest and hence this script.
+if [[ "$ASAN_ONLY" -eq 1 ]]; then
+  echo "== ASan+UBSan: configure + build (build-asan/) =="
+  cmake -B build-asan -S . -DAVD_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-asan -j "$JOBS"
+  echo "== ASan+UBSan: ctest =="
+  export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
+  export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 1500
+  echo "== ASan+UBSan lane passed =="
+  exit 0
+fi
 
 # The chaos lane: every fault-injection, admission and overload-path test,
 # under ThreadSanitizer. Deliberately its own lane (and its own CI job) —

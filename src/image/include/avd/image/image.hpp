@@ -77,8 +77,13 @@ class Image {
             static_cast<std::size_t>(width_)};
   }
 
-  [[nodiscard]] std::span<T> pixels() { return data_; }
-  [[nodiscard]] std::span<const T> pixels() const { return data_; }
+  [[nodiscard]] std::span<T> pixels() & { return data_; }
+  [[nodiscard]] std::span<const T> pixels() const& { return data_; }
+  /// A span into a temporary dangles once the full expression ends
+  /// (`for (auto v : make_image().pixels())` reads freed memory): name the
+  /// image first.
+  std::span<const T> pixels() && = delete;
+  std::span<const T> pixels() const&& = delete;
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 

@@ -1,5 +1,6 @@
 #include "avd/image/io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -30,18 +31,46 @@ struct PnmHeader {
   int maxval = 0;
 };
 
-PnmHeader read_header(std::istream& in, const std::string& expected_magic) {
+int header_int(std::istream& in) {
+  const std::string tok = next_token(in);
+  try {
+    return std::stoi(tok);
+  } catch (const std::exception&) {
+    throw std::runtime_error("pnm: bad header number '" + tok + "'");
+  }
+}
+
+/// Parses the header and checks that the stream still holds the
+/// width x height x `channels` payload bytes it declares, so a hostile
+/// header cannot make the reader allocate more than the input's size.
+PnmHeader read_header(std::istream& in, const std::string& expected_magic,
+                      std::uint64_t channels) {
   const std::string magic = next_token(in);
   if (magic != expected_magic)
     throw std::runtime_error("pnm: bad magic '" + magic + "', expected " +
                              expected_magic);
   PnmHeader h;
-  h.width = std::stoi(next_token(in));
-  h.height = std::stoi(next_token(in));
-  h.maxval = std::stoi(next_token(in));
+  h.width = header_int(in);
+  h.height = header_int(in);
+  h.maxval = header_int(in);
   if (h.width <= 0 || h.height <= 0 || h.maxval != 255)
     throw std::runtime_error("pnm: unsupported header");
   in.get();  // single whitespace before binary payload
+  const std::istream::pos_type payload = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(payload);
+  if (!in || payload < 0 || end < payload)
+    throw std::runtime_error("pnm: cannot size payload");
+  // Each factor is below 2^31, so the product cannot wrap a uint64.
+  const std::uint64_t declared = static_cast<std::uint64_t>(h.width) *
+                                 static_cast<std::uint64_t>(h.height) *
+                                 channels;
+  if (declared > static_cast<std::uint64_t>(end - payload))
+    throw std::runtime_error("pnm: header declares " +
+                             std::to_string(declared) +
+                             " payload bytes, stream holds " +
+                             std::to_string(end - payload));
   return h;
 }
 
@@ -79,7 +108,7 @@ void write_ppm(const RgbImage& image, const std::string& path) {
 ImageU8 read_pgm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_pgm: cannot open " + path);
-  const PnmHeader h = read_header(in, "P5");
+  const PnmHeader h = read_header(in, "P5", 1);
   ImageU8 image(h.width, h.height);
   in.read(reinterpret_cast<char*>(image.pixels().data()),
           static_cast<std::streamsize>(image.pixel_count()));
@@ -90,7 +119,7 @@ ImageU8 read_pgm(const std::string& path) {
 RgbImage read_ppm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_ppm: cannot open " + path);
-  const PnmHeader h = read_header(in, "P6");
+  const PnmHeader h = read_header(in, "P6", 3);
   RgbImage image(h.width, h.height);
   std::vector<std::uint8_t> rowbuf(static_cast<std::size_t>(h.width) * 3);
   for (int y = 0; y < h.height; ++y) {

@@ -284,10 +284,26 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_prometheus() const;
 
  private:
+  /// rollup()'s fold targets of one section, each with the leaf series that
+  /// fold into it, made when the section was `section_size` series long.
+  template <typename T>
+  struct RollupPlan {
+    std::size_t section_size = 0;
+    std::vector<std::pair<T*, std::vector<const T*>>> folds;
+  };
+  template <typename T>
+  static void update_rollup_plan(
+      std::map<std::string, std::unique_ptr<T>>& section, RollupPlan<T>& plan);
+
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // rollup() parses series names only when a section has gained a series
+  // since its plan was made; otherwise a fold is sums over cached pointers.
+  RollupPlan<Counter> counter_plan_;
+  RollupPlan<Gauge> gauge_plan_;
+  RollupPlan<Histogram> histogram_plan_;
 };
 
 }  // namespace avd::obs

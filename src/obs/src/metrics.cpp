@@ -412,59 +412,52 @@ std::set<std::string> rollup_products(const Map& section) {
 
 }  // namespace
 
+// Bring `plan` up to date with `section`: every fold target (base or
+// marginal), created on demand, with the leaves that fold into it. Series
+// are never removed, so the section's size tells whether it gained one since
+// the plan was made; only then are the names parsed again. Two passes:
+// collect the fold from the labeled leaves first, then find-or-create the
+// targets, which keeps the overwrite semantics obvious.
+template <typename T>
+void MetricsRegistry::update_rollup_plan(
+    std::map<std::string, std::unique_ptr<T>>& section, RollupPlan<T>& plan) {
+  if (plan.section_size == section.size()) return;
+  const std::set<std::string> products = rollup_products(section);
+  std::map<std::string, std::vector<const T*>> children;
+  for (const auto& [name, metric] : section)
+    if (auto parsed = parse_labeled_name(name)) {
+      if (products.contains(name)) continue;  // a prior fold's marginal
+      children[parsed->base].push_back(metric.get());
+      if (parsed->labels.size() >= 2)
+        children[parent_name(*parsed)].push_back(metric.get());
+    }
+  plan.folds.clear();
+  for (auto& [target, kids] : children) {
+    auto& slot = section[target];
+    if (!slot) slot = std::make_unique<T>();
+    plan.folds.emplace_back(slot.get(), std::move(kids));
+  }
+  plan.section_size = section.size();
+}
+
 void MetricsRegistry::rollup() {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Two passes per section: collect the fold from the labeled leaves first,
-  // then find-or-create the target entries. Inserting targets while
-  // iterating would both invalidate nothing (std::map) and double-count
-  // nothing (bases never parse as labeled, marginal products are excluded
-  // as sources), but the separation keeps the overwrite semantics obvious.
-  {
-    const std::set<std::string> products = rollup_products(counters_);
-    std::map<std::string, std::uint64_t> sums;
-    for (const auto& [name, c] : counters_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;  // a prior fold's marginal
-        sums[parsed->base] += c->value();
-        if (parsed->labels.size() >= 2) sums[parent_name(*parsed)] += c->value();
-      }
-    for (const auto& [base, sum] : sums) {
-      auto& slot = counters_[base];
-      if (!slot) slot = std::make_unique<Counter>();
-      slot->set(sum);
-    }
+  update_rollup_plan(counters_, counter_plan_);
+  for (const auto& [target, kids] : counter_plan_.folds) {
+    std::uint64_t sum = 0;
+    for (const Counter* kid : kids) sum += kid->value();
+    target->set(sum);
   }
-  {
-    const std::set<std::string> products = rollup_products(gauges_);
-    std::map<std::string, double> sums;
-    for (const auto& [name, g] : gauges_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;
-        sums[parsed->base] += g->value();
-        if (parsed->labels.size() >= 2) sums[parent_name(*parsed)] += g->value();
-      }
-    for (const auto& [base, sum] : sums) {
-      auto& slot = gauges_[base];
-      if (!slot) slot = std::make_unique<Gauge>();
-      slot->set(sum);
-    }
+  update_rollup_plan(gauges_, gauge_plan_);
+  for (const auto& [target, kids] : gauge_plan_.folds) {
+    double sum = 0.0;
+    for (const Gauge* kid : kids) sum += kid->value();
+    target->set(sum);
   }
-  {
-    const std::set<std::string> products = rollup_products(histograms_);
-    std::map<std::string, std::vector<const Histogram*>> children;
-    for (const auto& [name, h] : histograms_)
-      if (auto parsed = parse_labeled_name(name)) {
-        if (products.contains(name)) continue;
-        children[parsed->base].push_back(h.get());
-        if (parsed->labels.size() >= 2)
-          children[parent_name(*parsed)].push_back(h.get());
-      }
-    for (const auto& [base, kids] : children) {
-      auto& slot = histograms_[base];
-      if (!slot) slot = std::make_unique<Histogram>();
-      slot->reset();
-      for (const Histogram* kid : kids) slot->merge_from(*kid);
-    }
+  update_rollup_plan(histograms_, histogram_plan_);
+  for (const auto& [target, kids] : histogram_plan_.folds) {
+    target->reset();
+    for (const Histogram* kid : kids) target->merge_from(*kid);
   }
 }
 

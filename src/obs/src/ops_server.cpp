@@ -183,7 +183,13 @@ bool OpsServer::start() {
 
 void OpsServer::stop() {
   if (!running_.load()) return;
-  stop_requested_.store(true);
+  {
+    // Set under the queue mutex: a handler that has just evaluated the wait
+    // predicate but not yet blocked would otherwise miss the notify below
+    // and sleep forever, hanging the join.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_requested_.store(true);
+  }
   queue_cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& t : handlers_)
@@ -245,8 +251,10 @@ void OpsServer::handler_loop() {
       pending_.pop_front();
     }
     serve_connection(fd);
+    // Counted before the close: a client reads to EOF, so once it has the
+    // whole response requests_served() already includes it.
+    requests_served_.fetch_add(1);
     ::close(fd);
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -94,8 +94,10 @@ struct DegradeLadderConfig {
 };
 
 struct AdmissionConfig {
-  /// Off by default: admission machinery (per-stream buckets, ladder state,
-  /// the detect-stage coast path) is bypassed entirely when disabled.
+  /// Off by default. Switches on health-driven ladder moves
+  /// (on_health_windows) and the token bucket. Disabled, a controller
+  /// admits every frame at Full unless a fault plan or force_level() pins
+  /// a level — the state every StreamServer serve starts from.
   bool enabled = false;
   TokenBucketConfig bucket;
   DegradeLadderConfig ladder;
@@ -103,7 +105,7 @@ struct AdmissionConfig {
 
 /// Per-stage liveness watchdog: a stream that makes no pipeline progress for
 /// `timeout` is forced to DegradeLevel::Shed (sticky) instead of wedging the
-/// whole serve. Requires/implies the admission machinery.
+/// whole serve. Works whether or not admission is enabled.
 struct WatchdogConfig {
   bool enabled = false;
   std::chrono::milliseconds timeout{2000};
@@ -139,11 +141,11 @@ struct AdmissionStats {
   std::uint64_t degraded_scans = 0;  ///< scans run at level 1 or 2
 };
 
-/// The controller. One per serve(); `decide()` is called from the control
-/// stage (per-stream sequential, any worker thread), `on_health_windows()`
-/// from the telemetry exporter thread, `force_level()` from the watchdog —
-/// all synchronised internally by one mutex (the control stage is cheap, the
-/// critical sections are tiny).
+/// The controller. One per StreamServer serve(), whatever the config;
+/// `decide()` is called from the control stage (per-stream sequential, any
+/// worker thread), `on_health_windows()` from the telemetry exporter thread,
+/// `force_level()` from the watchdog — all synchronised internally by one
+/// mutex (the control stage is cheap, the critical sections are tiny).
 class AdmissionController {
  public:
   using TransitionCallback = std::function<void(const DegradeTransition&)>;
@@ -154,8 +156,9 @@ class AdmissionController {
   /// (control worker, telemetry thread, or watchdog). Set before serving.
   void set_transition_callback(TransitionCallback cb);
 
-  /// Admission verdict for one frame. `now_ns` feeds the token bucket (pass
-  /// a fixed timeline in tests for deterministic bucket behaviour);
+  /// Admission verdict for one frame. `now_ns` feeds the token bucket, which
+  /// applies only when config().enabled (pass a fixed timeline in tests for
+  /// deterministic bucket behaviour);
   /// `forced_level` (from a fault plan) pins the level for this frame
   /// onward until a different forced level — or none — is seen.
   [[nodiscard]] AdmissionDecision decide(
@@ -163,7 +166,8 @@ class AdmissionController {
       std::optional<int> forced_level = std::nullopt);
 
   /// One call per telemetry window with every stream's health state;
-  /// advances the ladder per the rules in the file comment.
+  /// advances the ladder per the rules in the file comment. A no-op unless
+  /// config().enabled.
   void on_health_windows(const std::vector<obs::HealthState>& states);
 
   /// External (cross-shard) fleet-pressure signal: while set, escalation

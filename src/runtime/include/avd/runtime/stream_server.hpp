@@ -29,6 +29,17 @@
 // they surface as vehicle_processed=false reports (the pedestrian engine,
 // like the paper's static partition, is unaffected), exactly the shape of
 // the paper's reconfiguration frame drop.
+//
+// Overload control: every serve runs the degradation ladder
+// (avd/runtime/admission.hpp). At its dormant default every stream stays at
+// level Full, whose frames take the same scan as the sequential run();
+// admission control, the watchdog and fault plans move streams down it.
+//
+// Metrics: each stage records into the global obs::MetricsRegistry as
+// runtime.stage.{latency_ns,processed,dropped,queue_high_water}{stage=…}
+// (plus metric_labels), beside the per-stream runtime.* series the SLO
+// rules read. The registry accumulates across serves; take deltas around a
+// serve to account for it alone.
 #pragma once
 
 #include <atomic>
@@ -42,6 +53,7 @@
 
 #include "avd/core/adaptive_system.hpp"
 #include "avd/obs/flight_recorder.hpp"
+#include "avd/obs/metrics.hpp"
 #include "avd/obs/ops_server.hpp"
 #include "avd/obs/sample_profiler.hpp"
 #include "avd/obs/slo.hpp"
@@ -49,7 +61,7 @@
 #include "avd/runtime/admission.hpp"
 #include "avd/runtime/bounded_queue.hpp"
 #include "avd/runtime/frame_source.hpp"
-#include "avd/runtime/stage_metrics.hpp"
+#include "avd/soc/event_log.hpp"
 
 namespace avd::runtime {
 
@@ -189,9 +201,9 @@ struct StreamServerConfig {
   StreamOpsConfig ops;
   /// The overload-control plane (see avd/runtime/admission.hpp): per-stream
   /// token-bucket admission and the SloMonitor-driven degradation ladder.
-  /// admission.enabled is the master switch for health-driven level changes
-  /// and the bucket; the ladder machinery itself also engages when the
-  /// watchdog or a fault injector is installed (their forced levels need it).
+  /// The ladder runs in every serve; admission.enabled switches on
+  /// health-driven level changes and the bucket. The watchdog and fault
+  /// plans pin levels either way.
   AdmissionConfig admission;
   /// Per-stream liveness watchdog: a stream making no pipeline progress for
   /// watchdog.timeout is pinned to DegradeLevel::Shed and its source is
@@ -226,7 +238,7 @@ struct StreamResult {
   /// monitoring was disabled) and every transition it went through.
   obs::HealthState health = obs::HealthState::Healthy;
   std::vector<obs::HealthTransition> health_transitions;
-  /// Overload-control accounting (all zero when the ladder never engaged).
+  /// Overload-control accounting (all zero while the ladder stays at Full).
   /// Shed frames are still present in report.frames with
   /// vehicle_processed = false and degrade_level = 3.
   std::uint64_t shed_frames = 0;
@@ -270,10 +282,8 @@ class StreamServer {
   [[nodiscard]] std::vector<StreamResult> serve_sequences(
       const std::vector<data::DriveSequence>& sequences);
 
-  /// Per-stage metrics accumulated across serve() calls.
-  [[nodiscard]] const RuntimeMetrics& metrics() const { return metrics_; }
   /// Worker lifecycle + stream completion events (wall-clock ns timestamps),
-  /// exportable with soc::write_chrome_trace alongside the metrics events.
+  /// exportable with soc::write_chrome_trace.
   [[nodiscard]] const soc::EventLog& server_log() const { return log_; }
   [[nodiscard]] const StreamServerConfig& config() const { return config_; }
 
@@ -314,9 +324,9 @@ class StreamServer {
     return last_flight_bundle_path_;
   }
 
-  /// The admission controller of the most recent serve() (nullptr before
-  /// any, or when the ladder never engaged). Live during a serve: /healthz
-  /// and /statusz read current levels and stats from it.
+  /// The admission controller of the most recent serve() with at least one
+  /// source (nullptr before any). Live during a serve: /healthz and
+  /// /statusz read current levels and stats from it.
   [[nodiscard]] AdmissionController* admission() const {
     return admission_.get();
   }
@@ -337,7 +347,6 @@ class StreamServer {
 
   const core::AdaptiveSystem* system_;
   StreamServerConfig config_;
-  RuntimeMetrics metrics_;
   soc::EventLog log_;
   HealthCallback health_callback_;
   /// Guards the swap of the per-serve observability objects (sampler_,

@@ -98,7 +98,7 @@ AdmissionDecision AdmissionController::decide(int stream, int frame_index,
       d.admit = false;
       d.shed_reason = "shed-level";
       ++slot.stats.shed;
-    } else if (config_.bucket.rate_fps > 0.0) {
+    } else if (config_.enabled && config_.bucket.rate_fps > 0.0) {
       // Refill on the caller's timeline so tests can drive it synthetically.
       if (!slot.bucket_primed) {
         slot.bucket_primed = true;
@@ -141,6 +141,7 @@ AdmissionDecision AdmissionController::decide(int stream, int frame_index,
 
 void AdmissionController::on_health_windows(
     const std::vector<obs::HealthState>& states) {
+  if (!config_.enabled) return;
   std::vector<DegradeTransition> fired;
   TransitionCallback callback;
   {

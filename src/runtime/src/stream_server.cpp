@@ -107,13 +107,44 @@ struct StreamCounters {
   obs::Counter* reconfig_drops = nullptr;
   obs::Counter* reconfigs = nullptr;
   obs::Histogram* latency = nullptr;  ///< runtime.frame.latency_ns{stream=N}
-  // Overload-control series (incremented only when the ladder is active).
+  // Overload-control series.
   obs::Counter* shed = nullptr;
   obs::Counter* coasted = nullptr;
   obs::Counter* degraded_scans = nullptr;
   obs::Counter* garbage = nullptr;
   obs::Counter* source_retries = nullptr;
   obs::Gauge* degrade_level = nullptr;  ///< runtime.degrade.level{stream=N}
+};
+
+/// One pipeline stage's runtime.stage.*{stage=<name>} series (plus the
+/// server's metric_labels). Resolved once per serve(); the mutators are
+/// relaxed atomics, safe from every worker of the stage.
+struct StageSeries {
+  StageSeries(obs::MetricsRegistry& registry, obs::Labels labels,
+              const char* stage) {
+    labels.emplace_back("stage", stage);
+    latency = &registry.histogram("runtime.stage.latency_ns", labels);
+    processed = &registry.counter("runtime.stage.processed", labels);
+    dropped = &registry.counter("runtime.stage.dropped", labels);
+    queue_high_water = &registry.gauge("runtime.stage.queue_high_water", labels);
+  }
+
+  /// One frame through the stage, which it entered at `t0`.
+  void record(Clock::time_point t0) const {
+    latency->record(Clock::now() - t0);
+    processed->inc();
+  }
+  /// Keep the deepest queue depth seen across serves. Called once writers
+  /// have quiesced.
+  void raise_high_water(std::size_t depth) const {
+    queue_high_water->set(
+        std::max(queue_high_water->value(), static_cast<double>(depth)));
+  }
+
+  obs::Histogram* latency = nullptr;
+  obs::Counter* processed = nullptr;
+  obs::Counter* dropped = nullptr;
+  obs::Gauge* queue_high_water = nullptr;
 };
 
 std::string stream_entity(int stream) {
@@ -189,15 +220,7 @@ std::vector<StreamResult> StreamServer::serve(
   // under the plain base names ("runtime.frames", "runtime.frame.latency_ns")
   // is produced by MetricsRegistry::rollup() — per telemetry sample while
   // serving and unconditionally before serve() returns.
-  // --- the overload-control plane --------------------------------------
-  // Ladder machinery engages when admission control is on, when the
-  // watchdog needs a lever to pull, or when a fault plan may pin levels.
-  // When inactive (the default) every ladder branch below is skipped and
-  // the pipeline is byte-for-byte the pre-ladder one.
   FaultInjector* injector = config_.fault_injector;
-  const bool ladder_active =
-      config_.admission.enabled || config_.watchdog.enabled ||
-      injector != nullptr;
   if (injector != nullptr)
     for (int s = 0; s < n_streams; ++s)
       sources[static_cast<std::size_t>(s)] = injector->wrap(
@@ -234,16 +257,18 @@ std::vector<StreamResult> StreamServer::serve(
     c.reconfig_drops = &registry.counter("runtime.reconfig_drops", labels);
     c.reconfigs = &registry.counter("runtime.reconfigs", labels);
     c.latency = &registry.histogram("runtime.frame.latency_ns", labels);
-    if (ladder_active) {
-      c.shed = &registry.counter("runtime.shed", labels);
-      c.coasted = &registry.counter("runtime.coasted", labels);
-      c.degraded_scans = &registry.counter("runtime.degraded_scans", labels);
-      c.garbage = &registry.counter("runtime.garbage_frames", labels);
-      c.source_retries = &registry.counter("runtime.source_retries", labels);
-      c.degrade_level = &registry.gauge("runtime.degrade.level", labels);
-      c.degrade_level->set(0.0);
-    }
+    c.shed = &registry.counter("runtime.shed", labels);
+    c.coasted = &registry.counter("runtime.coasted", labels);
+    c.degraded_scans = &registry.counter("runtime.degraded_scans", labels);
+    c.garbage = &registry.counter("runtime.garbage_frames", labels);
+    c.source_retries = &registry.counter("runtime.source_retries", labels);
+    c.degrade_level = &registry.gauge("runtime.degrade.level", labels);
+    c.degrade_level->set(0.0);
   }
+  const StageSeries ingest_stage(registry, config_.metric_labels, "ingest");
+  const StageSeries control_stage(registry, config_.metric_labels, "control");
+  const StageSeries detect_stage(registry, config_.metric_labels, "detect");
+  const StageSeries report_stage(registry, config_.metric_labels, "report");
   // Latency of admitted (non-shed) frames only — the number the overload
   // SLO protects: shedding keeps THIS under the budget. A shard server
   // (metric_labels set) records the labeled series instead and rollup()
@@ -263,18 +288,18 @@ std::vector<StreamResult> StreamServer::serve(
       std::min(degraded_sliding.max_levels,
                std::max(1, config_.admission.ladder.coarse_max_levels));
 
-  AdmissionController* admission = nullptr;
-  if (ladder_active) {
-    auto controller = std::make_unique<AdmissionController>(
-        n_streams, config_.admission);
-    admission = controller.get();
+  // --- the overload-control plane --------------------------------------
+  // Every serve runs the ladder. Dormant (admission off, no watchdog fire,
+  // no fault plan) it holds every stream at Full, where each frame takes the
+  // same scan as the sequential run().
+  auto controller =
+      std::make_unique<AdmissionController>(n_streams, config_.admission);
+  AdmissionController& admission = *controller;
+  {
     // Publish to the ops plane before workers start: /healthz and /statusz
     // read levels and stats from it live.
     std::lock_guard<std::mutex> lock(obs_mutex_);
     admission_ = std::move(controller);
-  } else {
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    admission_.reset();
   }
 
   // --- tail sampler + flight recorder ----------------------------------
@@ -310,18 +335,17 @@ std::vector<StreamResult> StreamServer::serve(
   const std::uint64_t serve_id = serve_count_.fetch_add(1) + 1;
   std::atomic<bool> flight_dump_requested{false};
 
-  if (admission != nullptr) {
+  {
     // Every ladder transition becomes a labeled gauge move, an instant span
     // on the tracer (so retained chains show WHY fidelity changed), and a
     // flight-recorder transition row (reusing the HealthTransition record
     // with a "/degrade" entity suffix).
     obs::FlightRecorder* recorder = recorder_.get();
     std::vector<StreamCounters>* counter_ptr = &counters;
-    admission->set_transition_callback(
+    admission.set_transition_callback(
         [recorder, counter_ptr](const DegradeTransition& t) {
           const auto us = static_cast<std::size_t>(t.stream);
-          if (us < counter_ptr->size() &&
-              (*counter_ptr)[us].degrade_level != nullptr)
+          if (us < counter_ptr->size())
             (*counter_ptr)[us].degrade_level->set(
                 static_cast<double>(static_cast<int>(t.to)));
           obs::ScopedSpan span("degrade_transition", "runtime/admission",
@@ -387,22 +411,18 @@ std::vector<StreamResult> StreamServer::serve(
     monitor_ptrs.reserve(monitors.size());
     for (auto& m : monitors) monitor_ptrs.push_back(m.get());
     // Health-driven ladder movement: after the monitors digest a window,
-    // their states feed the admission controller (when admission control is
-    // on — the watchdog/fault-plan levers work without it).
-    AdmissionController* ladder =
-        config_.admission.enabled ? admission : nullptr;
-    tc.on_sample = [monitor_ptrs, recorder, ladder](
+    // their states feed the admission controller (which ignores them unless
+    // admission.enabled — the watchdog/fault-plan levers work without it).
+    tc.on_sample = [monitor_ptrs, recorder, ladder = &admission](
                        const obs::TelemetrySample* prev,
                        const obs::TelemetrySample& cur) {
       recorder->record_telemetry_row(obs::to_json(cur));
       if (prev == nullptr) return;  // a window needs two samples
       for (obs::SloMonitor* m : monitor_ptrs) m->observe(*prev, cur);
-      if (ladder != nullptr) {
-        std::vector<obs::HealthState> states;
-        states.reserve(monitor_ptrs.size());
-        for (obs::SloMonitor* m : monitor_ptrs) states.push_back(m->state());
-        ladder->on_health_windows(states);
-      }
+      std::vector<obs::HealthState> states;
+      states.reserve(monitor_ptrs.size());
+      for (obs::SloMonitor* m : monitor_ptrs) states.push_back(m->state());
+      ladder->on_health_windows(states);
     };
     telemetry = std::make_unique<obs::TelemetryExporter>(registry, tc);
     telemetry->start();
@@ -473,9 +493,7 @@ std::vector<StreamResult> StreamServer::serve(
               break;
             }
             state.source_retries.fetch_add(1);
-            const auto us = static_cast<std::size_t>(s);
-            if (counters[us].source_retries != nullptr)
-              counters[us].source_retries->inc();
+            counters[s].source_retries->inc();
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(backoff_ms));
             backoff_ms *= std::max(1.0, config_.source_retry.backoff_multiplier);
@@ -485,14 +503,13 @@ std::vector<StreamResult> StreamServer::serve(
           }
         }
         if (!meta) break;
-        metrics_.ingest.record_latency(Clock::now() - t0);
+        ingest_stage.latency->record(Clock::now() - t0);
         if (config_.validate_frames && !std::isfinite(meta->light_level)) {
           // Garbage in, nothing out: refused BEFORE an index is assigned,
           // so the control plane's frame numbering stays dense and healthy
           // streams are unaffected bit for bit.
           state.garbage_frames.fetch_add(1);
-          const auto us = static_cast<std::size_t>(s);
-          if (counters[us].garbage != nullptr) counters[us].garbage->inc();
+          counters[s].garbage->inc();
           continue;
         }
         FrameTask task;
@@ -504,7 +521,7 @@ std::vector<StreamResult> StreamServer::serve(
         control_q.push(std::move(task));
         state.last_progress_ns.store(tracer.now_ns(),
                                      std::memory_order_relaxed);
-        metrics_.ingest.add_processed();
+        ingest_stage.processed->inc();
       }
       state.frames_ingested.store(index);
       state.ingest_done.store(true, std::memory_order_relaxed);
@@ -514,12 +531,11 @@ std::vector<StreamResult> StreamServer::serve(
                 "worker " + std::to_string(worker) + " done");
   };
 
-  // --- coast ledger operations (ladder level 2; no-ops when inactive) ---
+  // --- coast ledger operations (ladder level 2) ------------------------
   // Feed one frame's entry to the stream's tracker ledger and advance the
   // in-order frontier as far as it goes. coast_mutex is a leaf lock.
   const auto publish_entry = [&](StreamState& st, int index,
                                  CoastEntry entry) {
-    if (!ladder_active) return;
     bool advanced = false;
     {
       std::lock_guard<std::mutex> lock(st.coast_mutex);
@@ -552,12 +568,6 @@ std::vector<StreamResult> StreamServer::serve(
     }
     if (advanced) st.coast_cv.notify_all();
   };
-  // A frame that never reaches the detect scan (shed / backpressure-drop)
-  // still advances the tracker frontier — as an empty update, exactly what
-  // the tracker's miss-coasting is for.
-  const auto publish_gap = [&](StreamState& st, int index) {
-    publish_entry(st, index, CoastEntry{});
-  };
   // Wait for the frontier to cross `index`, then take its coasted boxes.
   // Safe: the detect queue is FIFO, so every smaller index of this stream
   // already left it, and every leaving path publishes an entry; waits are
@@ -571,55 +581,36 @@ std::vector<StreamResult> StreamServer::serve(
     return dets;
   };
 
-  // A frame that overflowed the detect queue still produces a report — the
-  // serving-layer twin of the paper's reconfiguration drop: the vehicle
-  // engine misses the frame, the static pedestrian partition does not.
-  const auto emit_dropped = [&](DetectTask&& task) {
+  // A frame that never reaches the detect scan still produces a report:
+  // shed by admission (the ladder's level 3 or the token bucket; taken on
+  // the control thread, so the frame skips the detect queue entirely) or
+  // dropped by detect-queue backpressure — the serving-layer twin of the
+  // paper's reconfiguration drop: the vehicle engine misses the frame, the
+  // static pedestrian partition does not. Either way the tracker frontier
+  // advances, as an empty update — exactly what miss-coasting is for.
+  const auto emit_unscanned = [&](DetectTask&& task, bool shed) {
     StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
-    st.backpressure_drops.fetch_add(1);
-    metrics_.detect.add_dropped();
+    if (!shed) {
+      st.backpressure_drops.fetch_add(1);
+      detect_stage.dropped->inc();
+    }
     const obs::TraceScope scope(task.trace);
-    obs::ScopedSpan span("drop_frame", "runtime/detect",
-                         {{"stream", task.stream},
-                          {"frame", task.step.index}});
-    core::ControlStep step = task.step;
-    step.record.vehicle_processed = false;
+    obs::ScopedSpan span(
+        shed ? "shed_frame" : "drop_frame",
+        shed ? "runtime/control" : "runtime/detect",
+        {{"stream", task.stream},
+         {"frame", task.step.index},
+         {"level", static_cast<std::int64_t>(task.decision.level)}});
+    task.step.record.vehicle_processed = false;
     ReportTask out;
     out.stream = task.stream;
-    out.report = system_->evaluate_frame(step, task.meta);
+    out.report = system_->evaluate_frame(task.step, task.meta);
     out.report.degrade_level = static_cast<int>(task.decision.level);
     out.trace = span.context();
     out.ingest_ns = task.ingest_ns;
-    out.backpressure_dropped = true;
-    publish_gap(st, task.step.index);
-    report_q.push(std::move(out));
-  };
-
-  // A frame refused by admission: an explicit shed report (the ladder's
-  // level 3 / token-bucket verdict), never a silent loss. Control-thread
-  // side so the frame skips the detect queue entirely — that is the point.
-  const auto emit_shed = [&](int stream, const core::ControlStep& ctrl,
-                             data::SequenceFrame meta,
-                             const obs::TraceContext& parent,
-                             std::uint64_t ingest_ns,
-                             const AdmissionDecision& decision) {
-    StreamState& st = *streams[static_cast<std::size_t>(stream)];
-    const obs::TraceScope scope(parent);
-    obs::ScopedSpan span(
-        "shed_frame", "runtime/control",
-        {{"stream", stream},
-         {"frame", ctrl.index},
-         {"level", static_cast<std::int64_t>(decision.level)}});
-    core::ControlStep step = ctrl;
-    step.record.vehicle_processed = false;
-    ReportTask out;
-    out.stream = stream;
-    out.report = system_->evaluate_frame(step, meta);
-    out.report.degrade_level = static_cast<int>(decision.level);
-    out.trace = span.context();
-    out.ingest_ns = ingest_ns;
-    out.shed = true;
-    publish_gap(st, ctrl.index);
+    out.backpressure_dropped = !shed;
+    out.shed = shed;
+    publish_entry(st, task.step.index, CoastEntry{});
     report_q.push(std::move(out));
   };
 
@@ -648,8 +639,7 @@ std::vector<StreamResult> StreamServer::serve(
         const Clock::time_point t0 = Clock::now();
         core::ControlStep step = state.session.control_step(current.meta);
         span.arg("mode", static_cast<std::int64_t>(step.sensed));
-        metrics_.control.record_latency(Clock::now() - t0);
-        metrics_.control.add_processed();
+        control_stage.record(t0);
         ++state.next_index;
         state.last_progress_ns.store(tracer.now_ns(),
                                      std::memory_order_relaxed);
@@ -657,31 +647,26 @@ std::vector<StreamResult> StreamServer::serve(
         // The admission verdict is taken here — per-stream sequential, so
         // a forced level (fault plan) keyed on the frame index yields a
         // deterministic transition sequence.
-        AdmissionDecision decision;
-        if (ladder_active) {
-          const std::optional<int> forced =
-              injector != nullptr
-                  ? injector->forced_degrade_level(current.stream, step.index)
-                  : std::nullopt;
-          decision = admission->decide(current.stream, step.index,
+        const std::optional<int> forced =
+            injector != nullptr
+                ? injector->forced_degrade_level(current.stream, step.index)
+                : std::nullopt;
+        DetectTask dt;
+        dt.stream = current.stream;
+        dt.step = step;
+        dt.meta = std::move(current.meta);
+        dt.trace = span.context();
+        dt.ingest_ns = current.ingest_ns;
+        dt.decision = admission.decide(current.stream, step.index,
                                        tracer.now_ns(), forced);
-        }
-        if (!decision.admit) {
-          emit_shed(current.stream, step, std::move(current.meta),
-                    span.context(), current.ingest_ns, decision);
+        if (!dt.decision.admit) {
+          emit_unscanned(std::move(dt), /*shed=*/true);
         } else {
-          DetectTask dt;
-          dt.stream = current.stream;
-          dt.step = step;
-          dt.meta = std::move(current.meta);
-          dt.trace = span.context();
-          dt.ingest_ns = current.ingest_ns;
-          dt.decision = decision;
           // The queue hands any dropped task back (the stale one under
           // DropOldest, this one under DropNewest) so no frame vanishes.
           std::optional<DetectTask> displaced;
           detect_q.push(std::move(dt), &displaced);
-          if (displaced) emit_dropped(std::move(*displaced));
+          if (displaced) emit_unscanned(std::move(*displaced), /*shed=*/false);
         }
 
         const auto it = state.pending.find(state.next_index);
@@ -696,12 +681,14 @@ std::vector<StreamResult> StreamServer::serve(
   };
 
   // --- stage 3: detect (parallel, const) -------------------------------
-  // One frame's pixel-level evaluation — the body of a detect worker's
-  // loop, also runnable as one task of a cross-stream batch on the scan
-  // pool (everything it touches is const, per-stream-synchronised, or an
-  // MPMC queue). `coast_prepublished` skips the ledger publish for coast
-  // frames whose entries the batched loop already published (see below).
-  const auto detect_one = [&](DetectTask& task, bool coast_prepublished) {
+  // One frame's pixel-level evaluation, run inline by a detect worker or as
+  // one task of a gather on the scan pool (everything it touches is const,
+  // per-stream-synchronised, or an MPMC queue). A level-2 coast frame takes
+  // its boxes from the tracker once every earlier frame of the stream has
+  // fed it (see the coast ledger; the worker published its entry); a scan
+  // runs at the fidelity of its ladder level and feeds its boxes to the
+  // ledger.
+  const auto detect_one = [&](DetectTask& task) {
     const obs::TraceScope scope(task.trace);
     obs::ScopedSpan span("detect_frame", "runtime/detect",
                          {{"stream", task.stream},
@@ -711,49 +698,31 @@ std::vector<StreamResult> StreamServer::serve(
     const Clock::time_point t0 = Clock::now();
     StreamState& st = *streams[static_cast<std::size_t>(task.stream)];
     const DegradeLevel level = task.decision.level;
+    const bool coast = task.decision.coast;
+    std::vector<det::Detection> dets;
+    core::AdaptiveSystem::EvaluateOptions opts;
+    if (coast) {
+      span.arg("coast", 1);
+      dets = take_coast(st, task.step.index);
+      opts.provided_detections = &dets;
+    } else {
+      if (level == DegradeLevel::CoarseScan || level == DegradeLevel::SkipCoast)
+        opts.sliding_override = &degraded_sliding;
+      opts.out_detections = &dets;
+    }
     ReportTask out;
     out.stream = task.stream;
+    out.report = system_->evaluate_frame(task.step, task.meta, opts);
+    out.report.degrade_level = static_cast<int>(level);
+    out.report.detect_coasted = coast;
     out.trace = span.context();
     out.ingest_ns = task.ingest_ns;
-    if (ladder_active && task.decision.coast) {
-      // Level-2 coast: no render, no scan, no simulated accelerator —
-      // the frame's boxes come from the tracker once every earlier frame
-      // of the stream has fed it (see the coast ledger).
-      span.arg("coast", 1);
-      if (!coast_prepublished)
-        publish_entry(st, task.step.index, CoastEntry{true, {}});
-      const std::vector<det::Detection> dets =
-          take_coast(st, task.step.index);
-      core::AdaptiveSystem::EvaluateOptions opts;
-      opts.provided_detections = &dets;
-      out.report = system_->evaluate_frame(task.step, task.meta, opts);
-      out.report.degrade_level = static_cast<int>(level);
-      out.report.detect_coasted = true;
-    } else if (ladder_active) {
-      core::AdaptiveSystem::EvaluateOptions opts;
-      if (level == DegradeLevel::CoarseScan ||
-          level == DegradeLevel::SkipCoast)
-        opts.sliding_override = &degraded_sliding;
-      std::vector<det::Detection> dets;
-      opts.out_detections = &dets;
-      out.report = system_->evaluate_frame(task.step, task.meta, opts);
-      out.report.degrade_level = static_cast<int>(level);
-      if (config_.simulated_accel_ms > 0.0 &&
-          task.step.record.vehicle_processed) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                config_.simulated_accel_ms));
-      }
-      publish_entry(st, task.step.index,
-                    CoastEntry{false, std::move(dets)});
-    } else {
-      out.report = system_->evaluate_frame(task.step, task.meta);
-      if (config_.simulated_accel_ms > 0.0 &&
-          task.step.record.vehicle_processed) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(
-                config_.simulated_accel_ms));
-      }
+    if (!coast) {
+      // Only a scan occupies the accelerator.
+      if (config_.simulated_accel_ms > 0.0 && task.step.record.vehicle_processed)
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            config_.simulated_accel_ms));
+      publish_entry(st, task.step.index, CoastEntry{false, std::move(dets)});
     }
     if (injector != nullptr) {
       const double slow_ms =
@@ -763,36 +732,34 @@ std::vector<StreamResult> StreamServer::serve(
             std::chrono::duration<double, std::milli>(slow_ms));
     }
     st.last_progress_ns.store(tracer.now_ns(), std::memory_order_relaxed);
-    metrics_.detect.record_latency(Clock::now() - t0);
-    metrics_.detect.add_processed();
+    detect_stage.record(t0);
     report_q.push(std::move(out));
   };
 
-  // Cross-stream batching needs the shared pool to fan a gather onto.
+  // Every worker gathers: one blocking pop plus opportunistic try_pops up to
+  // the gather bound, so a sparse queue costs nothing. Without cross-stream
+  // batching the bound is 1 and a gather is the one frame popped; with it,
+  // the gather is whatever is ALREADY queued, across every stream on this
+  // server, and needs the shared pool to fan onto.
   const bool batching = config_.cross_stream_batching &&
                         config_.scan_pool != nullptr &&
                         config_.detect_batch_max > 1;
+  const std::size_t gather_max =
+      batching ? static_cast<std::size_t>(config_.detect_batch_max) : 1;
   const auto detect_loop = [&](int worker) {
     log_.record(now_tp(), "runtime/detect",
                 "worker " + std::to_string(worker) + " start");
+    std::vector<DetectTask> scans;
+    std::vector<DetectTask> coasts;
+    const auto stash = [&](DetectTask&& t) {
+      (t.decision.coast ? coasts : scans).push_back(std::move(t));
+    };
     while (std::optional<DetectTask> first = detect_q.pop()) {
-      if (!batching) {
-        detect_one(*first, false);
-        continue;
-      }
-      // Gather: one blocking pop (above) plus opportunistic try_pops, so a
-      // sparse queue costs nothing — the batch is whatever is ALREADY
-      // queued, across every stream on this server.
-      std::vector<DetectTask> scans;
-      std::vector<DetectTask> coasts;
-      const auto stash = [&](DetectTask&& t) {
-        (ladder_active && t.decision.coast ? coasts : scans)
-            .push_back(std::move(t));
-      };
+      scans.clear();
+      coasts.clear();
       stash(std::move(*first));
       DetectTask extra;
-      while (static_cast<int>(scans.size() + coasts.size()) <
-                 config_.detect_batch_max &&
+      while (scans.size() + coasts.size() < gather_max &&
              detect_q.try_pop(extra))
         stash(std::move(extra));
       // Coast-ledger discipline: publish EVERY gathered coast entry before
@@ -804,14 +771,15 @@ std::vector<StreamResult> StreamServer::serve(
       for (DetectTask& t : coasts)
         publish_entry(*streams[static_cast<std::size_t>(t.stream)],
                       t.step.index, CoastEntry{true, {}});
-      // Scan frames are independent const evaluations: one indexed batch
-      // on the shared pool, whatever stream each frame belongs to.
+      // Scan frames are independent const evaluations: one runs inline,
+      // more run as one indexed batch on the shared pool, whatever stream
+      // each frame belongs to.
       if (scans.size() == 1) {
-        detect_one(scans.front(), false);
+        detect_one(scans.front());
       } else if (!scans.empty()) {
         config_.scan_pool->run_indexed(
             static_cast<int>(scans.size()), [&scans, &detect_one](int i) {
-              detect_one(scans[static_cast<std::size_t>(i)], false);
+              detect_one(scans[static_cast<std::size_t>(i)]);
             });
       }
       // Scatter coast frames in canonical (stream, index) order — a coast
@@ -823,7 +791,7 @@ std::vector<StreamResult> StreamServer::serve(
                   return a.stream != b.stream ? a.stream < b.stream
                                               : a.step.index < b.step.index;
                 });
-      for (DetectTask& t : coasts) detect_one(t, true);
+      for (DetectTask& t : coasts) detect_one(t);
     }
     if (live_detect.fetch_sub(1) == 1) report_q.close();
     log_.record(now_tp(), "runtime/detect",
@@ -871,13 +839,13 @@ std::vector<StreamResult> StreamServer::serve(
         sampler_->mark_interesting(task->trace.trace_id);
       }
       if (task->shed) {
-        if (c.shed != nullptr) c.shed->inc();
+        c.shed->inc();
         sampler_->mark_interesting(task->trace.trace_id);
       } else if (task->report.detect_coasted) {
-        if (c.coasted != nullptr) c.coasted->inc();
+        c.coasted->inc();
       } else if (task->report.degrade_level > 0 &&
                  !task->backpressure_dropped) {
-        if (c.degraded_scans != nullptr) c.degraded_scans->inc();
+        c.degraded_scans->inc();
       }
       // Shed frames are an explicit admission verdict, not a reconfig cost;
       // keep them out of the reconfiguration-loss SLO rule.
@@ -889,8 +857,7 @@ std::vector<StreamResult> StreamServer::serve(
       stream_filled[index] = true;
       streams[us]->collected.fetch_add(1, std::memory_order_relaxed);
       streams[us]->last_progress_ns.store(now_ns, std::memory_order_relaxed);
-      metrics_.report.record_latency(Clock::now() - t0);
-      metrics_.report.add_processed();
+      report_stage.record(t0);
     }
     log_.record(now_tp(), "runtime/report", "collector done");
   };
@@ -902,7 +869,7 @@ std::vector<StreamResult> StreamServer::serve(
   // event instead of a hung serve.
   std::atomic<bool> watchdog_stop{false};
   std::thread watchdog_thread;
-  if (config_.watchdog.enabled && ladder_active) {
+  if (config_.watchdog.enabled) {
     const std::uint64_t timeout_ns = static_cast<std::uint64_t>(
         std::max<std::int64_t>(1, config_.watchdog.timeout.count())) *
         1000000ull;
@@ -923,7 +890,7 @@ std::vector<StreamResult> StreamServer::serve(
               st.last_progress_ns.load(std::memory_order_relaxed);
           if (now > last && now - last > timeout_ns) {
             st.watchdog_fired.store(true, std::memory_order_relaxed);
-            admission->force_level(s, DegradeLevel::Shed, "watchdog");
+            admission.force_level(s, DegradeLevel::Shed, "watchdog");
             registry.counter("runtime.watchdog_fired", stream_labels(s))
                 .inc();
             log_.record(now_tp(), "runtime/watchdog",
@@ -972,6 +939,11 @@ std::vector<StreamResult> StreamServer::serve(
     watchdog_thread.join();
   }
 
+  // Queue-depth high-water marks of the queues each stage drains.
+  control_stage.raise_high_water(control_q.stats().high_water);
+  detect_stage.raise_high_water(detect_q.stats().high_water);
+  report_stage.raise_high_water(report_q.stats().high_water);
+
   // Fold the labeled per-stream series into the fleet base names — even
   // with monitoring disabled, direct post-serve readers of e.g.
   // "runtime.frame.latency_ns" see the fleet aggregate.
@@ -1013,11 +985,6 @@ std::vector<StreamResult> StreamServer::serve(
     }
   }
 
-  // Queue-depth high-water marks become stage attributes.
-  metrics_.control.update_queue_high_water(control_q.stats().high_water);
-  metrics_.detect.update_queue_high_water(detect_q.stats().high_water);
-  metrics_.report.update_queue_high_water(report_q.stats().high_water);
-
   // --- assemble per-stream results -------------------------------------
   for (int s = 0; s < n_streams; ++s) {
     const auto us = static_cast<std::size_t>(s);
@@ -1042,14 +1009,12 @@ std::vector<StreamResult> StreamServer::serve(
     result.source_retries = state.source_retries.load();
     result.source_failed = state.source_failed.load();
     result.watchdog_fired = state.watchdog_fired.load();
-    if (admission != nullptr) {
-      const AdmissionStats stats = admission->stats(s);
-      result.shed_frames = stats.shed;
-      result.coasted_frames = stats.coasted;
-      result.degraded_scans = stats.degraded_scans;
-      result.degrade_level = admission->level(s);
-      result.degrade_transitions = admission->transitions(s);
-    }
+    const AdmissionStats stats = admission.stats(s);
+    result.shed_frames = stats.shed;
+    result.coasted_frames = stats.coasted;
+    result.degraded_scans = stats.degraded_scans;
+    result.degrade_level = admission.level(s);
+    result.degrade_transitions = admission.transitions(s);
     if (config_.slo.enabled) {
       result.health = monitors_[us]->state();
       result.health_transitions = monitors_[us]->transitions();
@@ -1059,11 +1024,9 @@ std::vector<StreamResult> StreamServer::serve(
     std::ostringstream os;
     os << "stream " << s << " complete: " << result.report.frames.size()
        << " frames, " << result.report.reconfigs.size() << " reconfigs, "
-       << result.backpressure_drops << " backpressure drops";
-    if (admission != nullptr)
-      os << ", " << result.shed_frames << " shed, " << result.coasted_frames
-         << " coasted, degrade level "
-         << static_cast<int>(result.degrade_level);
+       << result.backpressure_drops << " backpressure drops, "
+       << result.shed_frames << " shed, " << result.coasted_frames
+       << " coasted, degrade level " << static_cast<int>(result.degrade_level);
     if (config_.slo.enabled)
       os << ", health " << obs::to_string(result.health);
     log_.record(now_tp(), "runtime/server", os.str());
@@ -1111,13 +1074,15 @@ void StreamServer::install_ops_endpoints() {
       AdmissionStats stats;
     };
     std::vector<OverloadRow> overload;
-    bool admission_on = false;
     {
+      // Rows exist once a serve has built its controller. Bounded by both
+      // sizes: a serve that has just reset the health vector may not have
+      // replaced the previous serve's controller yet.
       std::lock_guard<std::mutex> lock(obs_mutex_);
       if (admission_) {
-        admission_on = true;
-        overload.resize(states.size());
-        for (std::size_t s = 0; s < states.size(); ++s) {
+        overload.resize(std::min(
+            states.size(), static_cast<std::size_t>(admission_->n_streams())));
+        for (std::size_t s = 0; s < overload.size(); ++s) {
           overload[s].level = admission_->level(static_cast<int>(s));
           overload[s].stats = admission_->stats(static_cast<int>(s));
         }
@@ -1126,7 +1091,7 @@ void StreamServer::install_ops_endpoints() {
     const obs::HealthState fleet = obs::worst_of(states);
     std::ostringstream os;
     os << "{\"fleet\":\"" << obs::to_string(fleet) << "\",\"admission\":"
-       << (admission_on ? "true" : "false") << ",\"streams\":[";
+       << (config_.admission.enabled ? "true" : "false") << ",\"streams\":[";
     for (std::size_t s = 0; s < states.size(); ++s) {
       if (s != 0) os << ',';
       os << "{\"stream\":" << s << ",\"state\":\""
@@ -1198,8 +1163,8 @@ void StreamServer::install_ops_endpoints() {
 
   ops_->handle("/statusz", [this, &registry](const obs::HttpRequest&) {
     obs::publish_process_metrics(registry);  // keep /statusz and /metricsz in sync
-    // Aggregate overload accounting across streams (zero when admission is
-    // off — the fields are always present so parsers stay simple).
+    // Aggregate overload accounting across streams (zero before the first
+    // serve — the fields are always present so parsers stay simple).
     AdmissionStats totals;
     int max_level = 0;
     bool admission_live = false;
@@ -1207,18 +1172,15 @@ void StreamServer::install_ops_endpoints() {
       std::lock_guard<std::mutex> lock(obs_mutex_);
       if (admission_) {
         admission_live = true;
-        const std::size_t n =
-            monitors_.empty() ? stream_health_.size() : monitors_.size();
-        for (std::size_t s = 0; s < n; ++s) {
-          const AdmissionStats st = admission_->stats(static_cast<int>(s));
+        for (int s = 0; s < admission_->n_streams(); ++s) {
+          const AdmissionStats st = admission_->stats(s);
           totals.admitted += st.admitted;
           totals.shed += st.shed;
           totals.shed_by_bucket += st.shed_by_bucket;
           totals.coasted += st.coasted;
           totals.degraded_scans += st.degraded_scans;
-          max_level = std::max(
-              max_level,
-              static_cast<int>(admission_->level(static_cast<int>(s))));
+          max_level =
+              std::max(max_level, static_cast<int>(admission_->level(s)));
         }
       }
     }

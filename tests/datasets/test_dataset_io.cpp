@@ -5,13 +5,14 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_dir.hpp"
 namespace avd::data {
 namespace {
 
 class DatasetIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "avd_dataset_io").string();
+    dir_ = test::unique_temp_dir("avd_dataset_io").string();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -6,13 +6,14 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_dir.hpp"
 namespace avd::img {
 namespace {
 
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avd_io_test";
+    dir_ = test::unique_temp_dir("avd_io_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -61,6 +62,28 @@ TEST_F(IoTest, ReadWrongMagicThrows) {
 TEST_F(IoTest, ReadTruncatedPayloadThrows) {
   std::ofstream(path("trunc.pgm"), std::ios::binary) << "P5\n4 4\n255\nab";
   EXPECT_THROW(read_pgm(path("trunc.pgm")), std::runtime_error);
+}
+
+// A 20-byte file whose header declares 900 MB of payload is refused before
+// anything of that size is allocated.
+TEST_F(IoTest, ReadRefusesPayloadLargerThanTheStream) {
+  const std::string header = "P5\n30000 30000\n255\nx";
+  ASSERT_EQ(header.size(), 20u);
+  std::ofstream(path("huge.pgm"), std::ios::binary) << header;
+  EXPECT_THROW(read_pgm(path("huge.pgm")), std::runtime_error);
+  std::string ppm = header;
+  ppm[1] = '6';
+  std::ofstream(path("huge.ppm"), std::ios::binary) << ppm;
+  EXPECT_THROW(read_ppm(path("huge.ppm")), std::runtime_error);
+}
+
+TEST_F(IoTest, ReadRefusesOverflowingDimensions) {
+  std::ofstream(path("wide.pgm"), std::ios::binary)
+      << "P5\n2147483647 2147483647\n255\nabcd";
+  EXPECT_THROW(read_pgm(path("wide.pgm")), std::runtime_error);
+  std::ofstream(path("long.pgm"), std::ios::binary)
+      << "P5\n99999999999 2\n255\nabcd";
+  EXPECT_THROW(read_pgm(path("long.pgm")), std::runtime_error);
 }
 
 TEST_F(IoTest, ReadHonorsCommentLines) {

@@ -5,6 +5,7 @@
 #include "avd/image/color.hpp"
 #include "avd/image/draw.hpp"
 #include "avd/image/io.hpp"
+#include "temp_dir.hpp"
 
 #include <filesystem>
 
@@ -103,7 +104,7 @@ TEST_F(EndToEndTest, AnnotatedFrameRoundTripsThroughPpm) {
       system().detect_vehicles(frame, data::LightingCondition::Dark);
   for (const auto& d : dets) img::draw_rect(frame, d.box, {0, 255, 0}, 2);
 
-  const auto dir = std::filesystem::temp_directory_path() / "avd_e2e";
+  const auto dir = test::unique_temp_dir("avd_e2e");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "annotated.ppm").string();
   img::write_ppm(frame, path);

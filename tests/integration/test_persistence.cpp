@@ -10,6 +10,7 @@
 #include "avd/datasets/dataset_io.hpp"
 #include "avd/detect/dark_training.hpp"
 #include "avd/detect/hog_svm_detector.hpp"
+#include "temp_dir.hpp"
 
 namespace avd {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "avd_persist").string();
+    dir_ = test::unique_temp_dir("avd_persist").string();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -129,6 +129,71 @@ TEST(Histogram, PercentilesOrderedAndPlausible) {
   EXPECT_EQ(h.percentile_ns(0.99), 0u);
 }
 
+// The LatencyHistogram suite covers the same obs::Histogram the runtime's
+// stage and frame latencies record into.
+TEST(LatencyHistogram, SmallValuesAreExact) {
+  Histogram h;
+  for (std::uint64_t v = 0; v < 16; ++v) {
+    EXPECT_EQ(Histogram::bin_index(v), static_cast<int>(v));
+    EXPECT_EQ(Histogram::bin_value(static_cast<int>(v)), v);
+  }
+  h.record_ns(7);
+  EXPECT_EQ(h.percentile_ns(0.5), 7u);
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max_ns(), 7u);
+}
+
+TEST(LatencyHistogram, BinValueStaysCloseToSample) {
+  // Log-linear bins with 8 sub-buckets per octave: representative value
+  // within ~7 % of any sample.
+  for (std::uint64_t v : {20ull, 100ull, 1000ull, 123456ull, 9999999ull,
+                          123456789ull, 55555555555ull}) {
+    const int bin = Histogram::bin_index(v);
+    const double rep = static_cast<double>(Histogram::bin_value(bin));
+    const double rel = std::abs(rep - static_cast<double>(v)) /
+                       static_cast<double>(v);
+    EXPECT_LT(rel, 0.07) << "v=" << v << " rep=" << rep;
+  }
+}
+
+TEST(LatencyHistogram, PercentilesOrderedAndBracketed) {
+  Histogram h;
+  // 100 samples: 1..100 microseconds.
+  for (std::uint64_t i = 1; i <= 100; ++i) h.record_ns(i * 1000);
+  const std::uint64_t p50 = h.percentile_ns(0.50);
+  const std::uint64_t p95 = h.percentile_ns(0.95);
+  const std::uint64_t p99 = h.percentile_ns(0.99);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  // Approximate but in the right neighbourhood.
+  EXPECT_NEAR(static_cast<double>(p50), 50e3, 50e3 * 0.15);
+  EXPECT_NEAR(static_cast<double>(p95), 95e3, 95e3 * 0.15);
+  EXPECT_GE(h.max_ns(), 100000u);
+  EXPECT_NEAR(h.mean_ns(), 50500.0, 1.0);
+}
+
+TEST(LatencyHistogram, EmptyHistogramIsZero) {
+  Histogram h;
+  EXPECT_EQ(h.percentile_ns(0.5), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean_ns(), 0.0);
+}
+
+TEST(LatencyHistogram, ConcurrentRecordingLosesNothing) {
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h] {
+      for (int i = 0; i < kPerThread; ++i)
+        h.record_ns(static_cast<std::uint64_t>(i % 977) + 1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
 TEST(MetricsRegistry, SameNameSameObject) {
   MetricsRegistry reg;
   Counter& a = reg.counter("frames");
@@ -338,6 +403,26 @@ TEST(MetricsRegistry, RollupFoldsLabeledSeriesIntoBase) {
   reg.rollup();
   EXPECT_EQ(reg.counter("frames").value(), 11u);
   EXPECT_EQ(reg.histogram("lat").count(), 2u);
+}
+
+// rollup() caches which leaves fold where; a series registered after a
+// fold (a new stream, a new shard, a new family) must join the next one.
+TEST(MetricsRegistry, RollupPicksUpSeriesAddedAfterAFold) {
+  MetricsRegistry reg;
+  reg.counter("frames", {{"shard", "0"}, {"stream", "a"}}).inc(2);
+  reg.rollup();
+  EXPECT_EQ(reg.counter("frames").value(), 2u);
+
+  reg.counter("frames", {{"shard", "0"}, {"stream", "b"}}).inc(3);
+  reg.counter("frames", {{"shard", "1"}, {"stream", "c"}}).inc(5);
+  reg.gauge("depth", {{"stream", "a"}}).set(1.5);
+  reg.histogram("lat", {{"stream", "a"}}).record_ns(100);
+  reg.rollup();
+  EXPECT_EQ(reg.counter("frames").value(), 10u);
+  EXPECT_EQ(reg.counter("frames", {{"shard", "0"}}).value(), 5u);
+  EXPECT_EQ(reg.counter("frames", {{"shard", "1"}}).value(), 5u);
+  EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 1.5);
+  EXPECT_EQ(reg.histogram("lat").count(), 1u);
 }
 
 TEST(LabeledName, TwoLabelsSortEscapeAndRoundTrip) {

@@ -171,6 +171,31 @@ TEST(Admission, TokenBucketOnCallerTimeline) {
   EXPECT_EQ(st.shed_by_bucket, 3u);
 }
 
+// Disabled is the dormant ladder every StreamServer serve runs: health
+// windows and the bucket are ignored, while fault plans and force_level()
+// still pin levels.
+TEST(Admission, DisabledIgnoresHealthAndBucketButHonoursPins) {
+  AdmissionConfig cfg = ladder_config(/*escalate=*/1);
+  cfg.enabled = false;
+  cfg.bucket.rate_fps = 1.0;
+  cfg.bucket.burst = 1.0;
+  AdmissionController ac(2, cfg);
+  for (int i = 0; i < 5; ++i)
+    ac.on_health_windows({HealthState::Unhealthy, HealthState::Degraded});
+  for (int i = 0; i < 5; ++i) {
+    const AdmissionDecision d = ac.decide(0, i, 0);
+    EXPECT_TRUE(d.admit) << "frame " << i;
+    EXPECT_EQ(d.level, DegradeLevel::Full);
+  }
+  EXPECT_EQ(ac.stats(0).shed_by_bucket, 0u);
+  EXPECT_TRUE(ac.transitions().empty());
+
+  EXPECT_EQ(ac.decide(1, 0, 0, /*forced_level=*/2).level,
+            DegradeLevel::SkipCoast);
+  ac.force_level(0, DegradeLevel::Shed, "watchdog");
+  EXPECT_FALSE(ac.decide(0, 5, 0).admit);
+}
+
 TEST(Admission, ForceLevelIsSticky) {
   AdmissionController ac(1, ladder_config());
   ac.force_level(0, DegradeLevel::Shed, "watchdog");

@@ -86,6 +86,37 @@ TEST(StreamOps, BindFailureThrows) {
   EXPECT_THROW(StreamServer(system, clash), std::runtime_error);
 }
 
+// The ladder is part of every serve: with admission off, /healthz reports
+// "admission": false yet still carries each stream's ladder row (level 0),
+// and admission() is non-null once a serve has run.
+TEST(StreamOps, HealthzShowsTheDormantLadder) {
+  const core::SystemModels models = core::build_system_models(tiny());
+  const core::AdaptiveSystem system(models, control_only());
+  StreamServerConfig sc;
+  sc.ops.enabled = true;
+  StreamServer server(system, sc);
+  EXPECT_EQ(server.admission(), nullptr);
+  const std::vector<StreamResult> results =
+      server.serve_sequences(streams(2, 2, 7300));
+  ASSERT_NE(server.admission(), nullptr);
+  EXPECT_FALSE(server.admission()->config().enabled);
+
+  const obs::json::Value healthz =
+      get_json_ok(server.ops_server()->port(), "/healthz");
+  ASSERT_NE(healthz.find("admission"), nullptr);
+  EXPECT_FALSE(healthz.find("admission")->boolean);
+  const obs::json::Value* rows = healthz.find("streams");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array.size(), 2u);
+  for (std::size_t s = 0; s < rows->array.size(); ++s) {
+    const obs::json::Value& row = rows->array[s];
+    ASSERT_NE(row.find("degrade_level"), nullptr);
+    EXPECT_EQ(row.find("degrade_level")->number, 0.0);
+    EXPECT_EQ(row.find("admitted")->number,
+              static_cast<double>(results[s].report.frames.size()));
+  }
+}
+
 TEST(StreamOps, EveryEndpointAnswersDuringLiveServe) {
   const core::SystemModels models = core::build_system_models(tiny());
   const core::AdaptiveSystem system(models, control_only());

@@ -3,6 +3,7 @@
 // AdaptiveSystem::run() path — plus backpressure accounting and metrics.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "avd/runtime/fault_injection.hpp"
@@ -20,6 +21,23 @@ core::TrainingBudget tiny() {
   b.pairing_scenes = 20;
   return b;
 }
+
+/// Counters of one stage's runtime.stage.*{stage=<name>} series on the
+/// global registry. The registry accumulates across serves in one process,
+/// so tests compare readings taken before and after their serve.
+struct StageReading {
+  std::uint64_t processed = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t samples = 0;  ///< latency_ns histogram count
+
+  explicit StageReading(const std::string& stage) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    const obs::Labels labels{{"stage", stage}};
+    processed = registry.counter("runtime.stage.processed", labels).value();
+    dropped = registry.counter("runtime.stage.dropped", labels).value();
+    samples = registry.histogram("runtime.stage.latency_ns", labels).count();
+  }
+};
 
 /// The four scripted drives served throughout this file: same shape,
 /// different seeds → different scenes, reconfig times, detections.
@@ -278,6 +296,7 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
   sc.detect_policy = OverflowPolicy::DropOldest;
   sc.simulated_accel_ms = 2.0;  // starve: detect is 2 ms/frame, control ~µs
   StreamServer server(system, sc);
+  const StageReading detect_before("detect");
   const auto results = server.serve_sequences(streams);
 
   std::uint64_t total_drops = 0;
@@ -312,7 +331,8 @@ TEST(StreamServer, DropOldestShedsLoadButAccountsEveryFrame) {
         << "stream " << s;
   }
   EXPECT_GT(total_drops, 0u) << "expected the starved pool to shed load";
-  EXPECT_EQ(server.metrics().detect.dropped(), total_drops);
+  EXPECT_EQ(StageReading("detect").dropped - detect_before.dropped,
+            total_drops);
 }
 
 TEST(StreamServer, MetricsCoverEveryFrame) {
@@ -328,17 +348,25 @@ TEST(StreamServer, MetricsCoverEveryFrame) {
   StreamServerConfig sc;
   sc.detect_workers = 2;
   StreamServer server(system, sc);
+  const StageReading ingest0("ingest"), control0("control"), detect0("detect"),
+      report0("report");
   const auto results = server.serve_sequences(streams);
   ASSERT_EQ(results.size(), 4u);
 
-  const RuntimeMetrics& m = server.metrics();
+  const StageReading ingest("ingest"), control("control"), detect("detect"),
+      report("report");
   const auto n = static_cast<std::uint64_t>(total_frames);
-  EXPECT_EQ(m.ingest.processed(), n);
-  EXPECT_EQ(m.control.processed(), n);
-  EXPECT_EQ(m.detect.processed() + m.detect.dropped(), n);
-  EXPECT_EQ(m.report.processed(), n);
-  EXPECT_GT(m.detect.latency().count(), 0u);
-  EXPECT_GT(m.control.snapshot().p95_ns, 0u);
+  EXPECT_EQ(ingest.processed - ingest0.processed, n);
+  EXPECT_EQ(control.processed - control0.processed, n);
+  EXPECT_EQ(detect.processed - detect0.processed + detect.dropped -
+                detect0.dropped,
+            n);
+  EXPECT_EQ(report.processed - report0.processed, n);
+  EXPECT_GT(detect.samples - detect0.samples, 0u);
+  EXPECT_GT(obs::MetricsRegistry::global()
+                .histogram("runtime.stage.latency_ns", {{"stage", "control"}})
+                .percentile_ns(0.95),
+            0u);
 
   // Worker lifecycle events were recorded concurrently into the shared log.
   const soc::EventLog& log = server.server_log();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "avd/obs/json.hpp"
+#include "temp_dir.hpp"
 
 namespace avd::soc {
 namespace {
@@ -256,7 +257,7 @@ TEST(TraceExport, SingleHopTraceDrawsNoArc) {
 }
 
 TEST(TraceExport, WritesMergedFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "avd_trace_merged";
+  const auto dir = test::unique_temp_dir("avd_trace_merged");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "m.json").string();
   EventLog log;
@@ -271,7 +272,7 @@ TEST(TraceExport, WritesMergedFile) {
 }
 
 TEST(TraceExport, WritesFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "avd_trace";
+  const auto dir = test::unique_temp_dir("avd_trace");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "t.json").string();
   EventLog log;
