@@ -1,5 +1,5 @@
 // Dark-scan throughput: the GEMM-backed batched taillight scan against the
-// per-window reference path.
+// per-window reference path, and the dark front end that feeds it.
 //
 // Three configurations over the same trained dark detector and the same set
 // of procedural night masks:
@@ -17,11 +17,22 @@
 // throughput over the reference, with detections identical across every
 // configuration and batch_windows value (the batched forward is bit-exact
 // per row, so this is an equality check, not a tolerance).
+//
+// The preprocess part times DarkVehicleDetector::preprocess (the fused
+// threshold + OR-pool pass, then the closing) on one thread over rendered
+// dark frames at 1920x1080 (factor 3 divides it: the OR-pooling path) and
+// 640x360 (640 is not a multiple of 3: the nearest-sample path), and checks
+// every output against the composed public image calls it is defined as.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <type_traits>
 #include <vector>
 
 #include "avd/detect/dark_training.hpp"
+#include "avd/image/color.hpp"
+#include "avd/image/filter.hpp"
+#include "avd/image/resize.hpp"
 #include "avd/runtime/thread_pool.hpp"
 #include "bench_report.hpp"
 
@@ -57,14 +68,40 @@ bool lights_identical(const std::vector<TaillightDetection>& a,
   return true;
 }
 
-/// Full-mask-set passes per second, best of five ~0.4 s windows (each at
+std::vector<avd::img::RgbImage> render_dark_frames(avd::img::Size size,
+                                                   int count) {
+  std::vector<avd::img::RgbImage> frames;
+  avd::data::SceneGenerator gen(avd::data::LightingCondition::Dark, 654);
+  for (int i = 0; i < count; ++i)
+    frames.push_back(
+        avd::data::render_scene(gen.random_scene(size, 2 + i % 4)));
+  return frames;
+}
+
+/// preprocess() spelled out as the public whole-image calls it replaced.
+avd::img::ImageU8 composed_preprocess(const avd::img::RgbImage& frame,
+                                      const avd::det::DarkDetectorConfig& cfg) {
+  namespace img = avd::img;
+  img::ImageU8 mask =
+      img::taillight_roi_mask(img::rgb_to_ycbcr(frame), cfg.threshold);
+  const int f = cfg.downsample_factor;
+  if (f > 1 && mask.width() % f == 0 && mask.height() % f == 0)
+    mask = img::downsample_or(mask, f);
+  else if (f > 1)
+    mask = img::resize_nearest(mask, {std::max(1, mask.width() / f),
+                                      std::max(1, mask.height() / f)});
+  if (cfg.median_prefilter) mask = img::median3x3(mask);
+  return img::close(mask, cfg.closing);
+}
+
+/// Full-input-set passes per second, best of five ~0.4 s windows (each at
 /// least 3 reps). The best-window estimator discards noisy-neighbour
 /// slowdowns — on a shared core a single long window measures the
-/// neighbours as much as the scan. `out` receives the per-mask detections
+/// neighbours as much as the scan. `out` receives the per-input results
 /// of one pass for equality checks.
-template <typename Fn>
-double measure(const std::vector<avd::img::ImageU8>& masks, const Fn& scan,
-               std::vector<std::vector<TaillightDetection>>* out) {
+template <typename In, typename Fn>
+double measure(const std::vector<In>& masks, const Fn& scan,
+               std::vector<std::invoke_result_t<Fn, const In&>>* out) {
   out->clear();
   for (const auto& m : masks) out->push_back(scan(m));  // warm-up + canonical
   double best = 0.0;
@@ -149,6 +186,25 @@ int main() {
           lights_identical(swept.detect_taillights(masks[i]), ref[i]);
   }
 
+  // The front end, single-threaded (preprocess never touches the pool).
+  const auto preprocess = [&](const avd::img::RgbImage& f) {
+    return detector.preprocess(f);
+  };
+  const std::vector<avd::img::RgbImage> hd =
+      render_dark_frames({1920, 1080}, 3);
+  const std::vector<avd::img::RgbImage> sd =
+      render_dark_frames({640, 360}, 8);
+  std::vector<avd::img::ImageU8> hd_masks, sd_masks;
+  const double hd_fps = measure(hd, preprocess, &hd_masks);
+  const double sd_fps = measure(sd, preprocess, &sd_masks);
+  bool preprocess_composed = true;
+  for (std::size_t i = 0; i < hd.size(); ++i)
+    preprocess_composed &=
+        hd_masks[i] == composed_preprocess(hd[i], detector.config());
+  for (std::size_t i = 0; i < sd.size(); ++i)
+    preprocess_composed &=
+        sd_masks[i] == composed_preprocess(sd[i], detector.config());
+
   const double speedup_1t = ref_sps > 0.0 ? b1_sps / ref_sps : 0.0;
   const double speedup_4t = ref_sps > 0.0 ? b4_sps / ref_sps : 0.0;
   const bool identical = all_identical(ref, b1) && all_identical(ref, b4) &&
@@ -166,8 +222,15 @@ int main() {
   std::printf("  (%zu masks, %zu blobs, %zu windows/pass, batch sweep %s)\n\n",
               masks.size(), total_blobs, total_windows,
               identical_across_batches ? "identical" : "DIVERGED");
-  std::printf("acceptance >=3x vs per-window reference: %s\n",
+  std::printf("acceptance >=3x vs per-window reference: %s\n\n",
               best >= 3.0 ? "PASS" : "FAIL");
+
+  std::printf("%-16s | %10s | %18s\n", "preprocess", "frames/s",
+              "= composed calls");
+  std::printf("%-16s | %10.1f | %18s\n", "1920x1080 pooled", hd_fps,
+              preprocess_composed ? "yes" : "NO");
+  std::printf("%-16s | %10.1f | %18s\n", "640x360 nearest", sd_fps,
+              preprocess_composed ? "yes" : "NO");
 
   report.metric("reference.masks_per_s", ref_sps, "1/s");
   report.metric("batch_1t.masks_per_s", b1_sps, "1/s");
@@ -176,12 +239,16 @@ int main() {
   report.metric("batch_4t.speedup", speedup_4t, "x");
   report.metric("windows_per_pass", static_cast<double>(total_windows),
                 "windows");
+  report.metric("preprocess_1080p.frames_per_s", hd_fps, "1/s");
+  report.metric("preprocess_360p.frames_per_s", sd_fps, "1/s");
   report.check("detections_identical_across_configs", identical);
+  report.check("preprocess_equals_composed_calls", preprocess_composed);
   report.check("speedup_at_least_3x", best >= 3.0);
   report.note("workload",
               "8 procedural 640x360 night masks (2-5 vehicles each), trained "
               "81-20-8-4 DBN, stride-2 9x9 windows, batch_windows sweep "
-              "{1,64,4096}");
+              "{1,64,4096}; preprocess on 3 rendered 1920x1080 and 8 640x360 "
+              "dark frames, one thread, factor 3");
   report.write();
-  return identical ? 0 : 1;
+  return identical && preprocess_composed ? 0 : 1;
 }

@@ -44,4 +44,20 @@ struct TaillightThresholdParams {
 [[nodiscard]] ImageU8 taillight_roi_mask(const YcbcrImage& ycc,
                                          const TaillightThresholdParams& p = {});
 
+/// The dark front end's mask in one pass over the RGB planes, straight at
+/// the downsampled resolution. Defined as, and bit-equal to, the composition
+///   taillight_roi_mask(rgb_to_ycbcr(rgb), p), then
+///   downsample_or(mask, factor)                       if factor divides both
+///                                                     dimensions, else
+///   resize_nearest(mask, {max(1, w/factor), max(1, h/factor)})
+/// (factor 1 returns the full-resolution mask). The gates compare the
+/// unrounded BT.601 values at the rounding boundaries, so no YCbCr plane or
+/// full-resolution mask is built: each source row is ORed into its pooled
+/// output row as it is thresholded, and the nearest path evaluates only the
+/// pixels resize_nearest samples. Throws std::invalid_argument for
+/// factor <= 0 and, on the nearest path, for an empty frame.
+[[nodiscard]] ImageU8 taillight_roi_mask(const RgbImage& rgb,
+                                         const TaillightThresholdParams& p,
+                                         int factor);
+
 }  // namespace avd::img

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bt601.hpp"
+
 namespace avd::img {
 namespace {
 
@@ -12,32 +14,40 @@ std::uint8_t clamp_u8(float v) {
 
 }  // namespace
 
+// The scalar oracles: the BT.601 expressions rounded through libm. The image
+// kernels below must match them on every RGB input (tests/image enforce it
+// over the whole 2^24 cube).
 std::uint8_t luma_of(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
-  return clamp_u8(0.299f * r + 0.587f * g + 0.114f * b);
+  return clamp_u8(bt601::luma(r, g, b));
 }
 
 std::uint8_t cb_of(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
-  return clamp_u8(128.0f - 0.168736f * r - 0.331264f * g + 0.5f * b);
+  return clamp_u8(bt601::cb(r, g, b));
 }
 
 std::uint8_t cr_of(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
-  return clamp_u8(128.0f + 0.5f * r - 0.418688f * g - 0.081312f * b);
+  return clamp_u8(bt601::cr(r, g, b));
 }
 
 YcbcrImage rgb_to_ycbcr(const RgbImage& rgb) {
   YcbcrImage out{ImageU8(rgb.size()), ImageU8(rgb.size()), ImageU8(rgb.size())};
+  // Byte stores may alias the image headers, so the width is hoisted into a
+  // local: a bound reloaded every iteration keeps the loop scalar.
+  const int width = rgb.width();
   for (int yy = 0; yy < rgb.height(); ++yy) {
-    auto r = rgb.r().row(yy);
-    auto g = rgb.g().row(yy);
-    auto b = rgb.b().row(yy);
-    auto oy = out.y.row(yy);
-    auto ocb = out.cb.row(yy);
-    auto ocr = out.cr.row(yy);
-    for (int x = 0; x < rgb.width(); ++x) {
-      oy[x] = luma_of(r[x], g[x], b[x]);
-      ocb[x] = cb_of(r[x], g[x], b[x]);
-      ocr[x] = cr_of(r[x], g[x], b[x]);
-    }
+    const std::uint8_t* __restrict r = rgb.r().row(yy).data();
+    const std::uint8_t* __restrict g = rgb.g().row(yy).data();
+    const std::uint8_t* __restrict b = rgb.b().row(yy).data();
+    std::uint8_t* __restrict oy = out.y.row(yy).data();
+    std::uint8_t* __restrict ocb = out.cb.row(yy).data();
+    std::uint8_t* __restrict ocr = out.cr.row(yy).data();
+    // One loop per plane: GCC vectorises each, not the three-output body.
+    for (int x = 0; x < width; ++x)
+      oy[x] = bt601::round_u8(bt601::luma(r[x], g[x], b[x]));
+    for (int x = 0; x < width; ++x)
+      ocb[x] = bt601::round_u8(bt601::cb(r[x], g[x], b[x]));
+    for (int x = 0; x < width; ++x)
+      ocr[x] = bt601::round_u8(bt601::cr(r[x], g[x], b[x]));
   }
   return out;
 }
@@ -65,12 +75,14 @@ RgbImage ycbcr_to_rgb(const YcbcrImage& ycc) {
 
 ImageU8 rgb_to_gray(const RgbImage& rgb) {
   ImageU8 out(rgb.size());
+  const int width = rgb.width();
   for (int yy = 0; yy < rgb.height(); ++yy) {
-    auto r = rgb.r().row(yy);
-    auto g = rgb.g().row(yy);
-    auto b = rgb.b().row(yy);
-    auto o = out.row(yy);
-    for (int x = 0; x < rgb.width(); ++x) o[x] = luma_of(r[x], g[x], b[x]);
+    const std::uint8_t* __restrict r = rgb.r().row(yy).data();
+    const std::uint8_t* __restrict g = rgb.g().row(yy).data();
+    const std::uint8_t* __restrict b = rgb.b().row(yy).data();
+    std::uint8_t* __restrict o = out.row(yy).data();
+    for (int x = 0; x < width; ++x)
+      o[x] = bt601::round_u8(bt601::luma(r[x], g[x], b[x]));
   }
   return out;
 }

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "read_values.hpp"
+
 namespace avd::ml {
 
 Dbn::Dbn(std::vector<int> layer_sizes, int classes, std::uint64_t seed)
@@ -266,26 +268,40 @@ Dbn Dbn::load(std::istream& in) {
   int classes = 0;
   if (!(in >> magic >> nlayers >> classes) || magic != "dbn")
     throw std::runtime_error("Dbn::load: bad header");
-  std::vector<int> sizes(nlayers);
-  for (auto& s : sizes)
-    if (!(in >> s)) throw std::runtime_error("Dbn::load: truncated sizes");
-  Dbn dbn(sizes, classes, 0);
-  for (Rbm& r : dbn.rbms_) {
-    for (std::size_t j = 0; j < r.weights().rows(); ++j)
-      for (std::size_t i = 0; i < r.weights().cols(); ++i)
-        if (!(in >> r.weights()(j, i)))
-          throw std::runtime_error("Dbn::load: truncated weights");
-    for (float& v : r.visible_bias())
-      if (!(in >> v)) throw std::runtime_error("Dbn::load: truncated vbias");
-    for (float& v : r.hidden_bias())
-      if (!(in >> v)) throw std::runtime_error("Dbn::load: truncated hbias");
+  std::vector<int> sizes;
+  read_values(in, nlayers, sizes, "Dbn::load: truncated sizes");
+  if (sizes.size() < 2 || classes < 2 ||
+      std::any_of(sizes.begin(), sizes.end(), [](int s) { return s <= 0; }))
+    throw std::runtime_error("Dbn::load: bad sizes");
+  // Every parameter is read, in save() order, before the network is built:
+  // sizes that claim more than the stream holds fail as truncated instead of
+  // allocating the claim.
+  std::vector<float> params;
+  for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
+    const auto visible = static_cast<std::size_t>(sizes[l]);
+    const auto hidden = static_cast<std::size_t>(sizes[l + 1]);
+    read_values(in, hidden * visible, params, "Dbn::load: truncated weights");
+    read_values(in, visible, params, "Dbn::load: truncated vbias");
+    read_values(in, hidden, params, "Dbn::load: truncated hbias");
   }
-  for (std::size_t c = 0; c < dbn.head_w_.rows(); ++c)
-    for (std::size_t i = 0; i < dbn.head_w_.cols(); ++i)
-      if (!(in >> dbn.head_w_(c, i)))
-        throw std::runtime_error("Dbn::load: truncated head");
-  for (float& v : dbn.head_b_)
-    if (!(in >> v)) throw std::runtime_error("Dbn::load: truncated head bias");
+  const auto top = static_cast<std::size_t>(sizes.back());
+  const auto n_classes = static_cast<std::size_t>(classes);
+  read_values(in, n_classes * top, params, "Dbn::load: truncated head");
+  read_values(in, n_classes, params, "Dbn::load: truncated head bias");
+
+  Dbn dbn(std::move(sizes), classes, 0);
+  const float* next = params.data();
+  const auto fill = [&next](std::span<float> dst) {
+    std::copy_n(next, dst.size(), dst.begin());
+    next += dst.size();
+  };
+  for (Rbm& r : dbn.rbms_) {
+    fill(r.weights().data());
+    fill(r.visible_bias());
+    fill(r.hidden_bias());
+  }
+  fill(dbn.head_w_.data());
+  fill(dbn.head_b_);
   return dbn;
 }
 

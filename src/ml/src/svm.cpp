@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "avd/ml/linalg.hpp"
+#include "read_values.hpp"
 
 namespace avd::ml {
 
@@ -33,9 +34,8 @@ LinearSvm LinearSvm::load(std::istream& in) {
   float bias = 0.0f;
   if (!(in >> magic >> dim >> bias) || magic != "svm")
     throw std::runtime_error("LinearSvm::load: bad header");
-  std::vector<float> w(dim);
-  for (auto& v : w)
-    if (!(in >> v)) throw std::runtime_error("LinearSvm::load: truncated weights");
+  std::vector<float> w;
+  read_values(in, dim, w, "LinearSvm::load: truncated weights");
   return {std::move(w), bias};
 }
 
