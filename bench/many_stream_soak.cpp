@@ -1,5 +1,10 @@
 // Many-stream soak: the sharded front door's scaling story (ISSUE 10).
 //
+// A scheduler bench, not a detector bench: run_detectors = false and the
+// detect stage sleeps for simulated_accel_ms, so every number here times
+// sharding, batching, admission and queues around a sleep, not the
+// detectors.
+//
 // 256 synthetic camera streams (AVD_SOAK_STREAMS overrides; CI runs 64)
 // served three ways over the same drive sequences:
 //
@@ -314,6 +319,9 @@ int main() {
                   "sharded 4x1 coordinators batching onto 16 pool threads "
                   "(~8000 fps); paced part offers 8 fps/stream against a "
                   "5 fps/stream admitted budget with per-shard admission");
+  report.note("kind",
+              "scheduler bench: times simulated_accel_ms sleeps with "
+              "run_detectors=false, not the detectors");
   report.write();
   return 0;
 }

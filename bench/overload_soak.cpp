@@ -1,6 +1,10 @@
 // Overload soak: 64 paced camera streams offered at 2x the accelerator's
 // aggregate capacity, served through the overload-control plane (ISSUE 9).
 //
+// A scheduler bench, not a detector bench: run_detectors = false and the
+// detect stage sleeps for simulated_accel_ms, so every number here times
+// admission, queues and workers around a sleep, not the detectors.
+//
 // Capacity model: detect_workers = 4 at simulated_accel_ms = 4 ms/frame
 // gives the fleet 1000 fps of full-fidelity scan throughput (sleep-bound,
 // so the number holds on any host core count, exactly like
@@ -267,6 +271,9 @@ int main() {
   report.note("load_model",
               "64 paced streams, 2x accelerator capacity (4 workers x 4 ms), "
               "20 fps/stream token bucket, SLO ladder to level 2");
+  report.note("kind",
+              "scheduler bench: times simulated_accel_ms sleeps with "
+              "run_detectors=false, not the detectors");
   report.write();
   return 0;
 }

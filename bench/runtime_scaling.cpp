@@ -1,6 +1,12 @@
 // Runtime scaling: aggregate throughput of the avd::runtime StreamServer
 // as the detect worker pool grows, at 1/2/4/8 concurrent camera streams.
 //
+// A scheduler bench, not a detector bench: every guarded number comes from
+// serves with run_detectors = false whose detect stage sleeps for
+// simulated_accel_ms. It times queues, workers and the control plane
+// wrapped around a sleep; what a real frame costs is perfbench's drive_hd /
+// night_hd ledger.
+//
 // The detect stage models a blocking dispatch to the PL accelerator
 // (simulated_accel_ms): on the paper's Zynq the fabric processes one frame
 // per 20 ms and the ARM core's job is to keep it fed. Worker scaling here
@@ -228,6 +234,9 @@ int main() {
   std::printf("frame latency p99 (all served frames): %.3f ms\n\n", p99_ms);
   report.metric("runtime.frame.latency_p99_ms", p99_ms, "ms", "lower");
   report.note("accel_model", "4 ms/frame simulated PL dispatch, 25 frames/segment");
+  report.note("kind",
+              "scheduler bench: guarded numbers time simulated_accel_ms "
+              "sleeps with run_detectors=false, not the detectors");
   report.write();
   return 0;
 }

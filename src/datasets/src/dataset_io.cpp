@@ -44,7 +44,9 @@ PatchDataset load_dataset(const std::string& dir) {
   else
     throw std::runtime_error("load_dataset: bad condition '" + condition + "'");
 
-  ds.patches.reserve(count);
+  // No reserve(count): the count is external bytes, so the vector grows as
+  // rows arrive and a header claiming more rows than the index holds fails
+  // as truncated without allocating the claim.
   for (std::size_t i = 0; i < count; ++i) {
     std::string name;
     int label = 0, very_dark = 0;

@@ -6,7 +6,7 @@
 //                                                    inside each shard)
 //        ▲                                 │
 //        └──── one fleet ops surface ◄─────┘
-//              /healthz /statusz /metricsz
+//              /metricsz /healthz /tracez /flightz /statusz /profilez
 //
 // * Placement is deterministic: stable_stream_hash(name) % shards — a
 //   64-bit FNV-1a over the stream's NAME, so the same fleet lands the same
@@ -19,10 +19,10 @@
 //   (runtime.frames) — the front door's /metricsz therefore answers for
 //   the whole fleet in one scrape, and the sum of per-shard marginals
 //   equals the base by construction (test-enforced).
-// * Ops: ONE front-door OpsServer aggregates every shard — /healthz is
-//   the fleet worst-of (503 when any stream is UNHEALTHY), /statusz the
-//   serving topology, /metricsz the folded registry. Shard servers run
-//   with their own ops plane disabled.
+// * Ops: ONE front-door ops surface — the StreamServer's, over every shard
+//   (see StreamOpsConfig): /healthz rows carry each stream's shard and the
+//   fleet worst-of (503 when any stream is UNHEALTHY), /flightz?shard=<m>
+//   picks a shard. Shard servers run with their own ops plane disabled.
 // * Admission: each shard keeps its own AdmissionController; the front
 //   door adds the cross-shard fleet_pressure signal — when at least
 //   `fleet_pressure_fraction` of ALL fleet streams are degraded-or-worse,
@@ -61,8 +61,10 @@ struct ShardedServerConfig {
   /// Explicit placement overrides for tests: stream name -> shard index
   /// (clamped into range). Names not present fall back to the stable hash.
   std::map<std::string, int> assign_override;
-  /// The fleet ops front door. Off by default; when enabled the listener
-  /// runs from construction to destruction, like StreamServer's.
+  /// The fleet ops front door: every StreamOpsConfig endpoint, over all
+  /// shards, with /profilez shaped by `shard.ops.profiler` and
+  /// `shard.ops.max_profile_seconds`. Off by default; when enabled the
+  /// listener runs from construction to destruction, like StreamServer's.
   bool ops_enabled = false;
   obs::OpsServerConfig ops;
   /// Fraction of ALL fleet streams degraded-or-worse that raises the
@@ -113,26 +115,22 @@ class ShardedServer {
   /// health (what the front door's /healthz renders).
   [[nodiscard]] obs::HealthState fleet_health() const;
   /// The front-door ops listener (nullptr unless config().ops_enabled).
-  [[nodiscard]] obs::OpsServer* ops_server() const { return ops_.get(); }
+  [[nodiscard]] obs::OpsServer* ops_server() const;
 
  private:
-  void install_ops_endpoints();
   /// Recompute the cross-shard pressure flag and push it to every shard's
   /// admission controller. Called from shard health callbacks.
   void update_fleet_pressure();
 
   const core::AdaptiveSystem* system_;
   ShardedServerConfig config_;
-  /// Shard servers of the current/most recent serve() plus their stream
-  /// names, guarded for the ops handler threads. Rebuilt per serve().
+  /// Shard servers of the current/most recent serve(), guarded for the ops
+  /// handler threads and the shards' health callbacks. Rebuilt per serve().
   mutable std::mutex shards_mutex_;
   std::vector<std::unique_ptr<StreamServer>> shard_servers_;
-  std::vector<std::vector<std::string>> shard_stream_names_;
   std::vector<int> last_assignment_;
-  std::unique_ptr<obs::OpsServer> ops_;
   std::atomic<std::uint64_t> serve_count_{0};
-  std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
+  std::unique_ptr<OpsSurface> ops_;  ///< last: its handlers walk the above
 };
 
 }  // namespace avd::runtime

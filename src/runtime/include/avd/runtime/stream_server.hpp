@@ -67,6 +67,7 @@ namespace avd::runtime {
 
 class ThreadPool;      // avd/runtime/thread_pool.hpp
 class FaultInjector;   // avd/runtime/fault_injection.hpp
+class OpsSurface;      // the /…z endpoints (private to avd_runtime)
 
 /// Retry policy for transient source failures: a source throwing
 /// TransientSourceError is retried with exponential backoff; past
@@ -121,14 +122,18 @@ struct StreamSloConfig {
 /// The live introspection plane: an embedded obs::OpsServer owned by the
 /// StreamServer for its whole lifetime (not per serve()), so a fleet
 /// operator can scrape metrics, read health, pull traces and profile the
-/// pipeline *while it serves*. Endpoints installed:
+/// pipeline *while it serves*. The sharded front door answers the same
+/// endpoints over all its shards; a StreamServer is its own shard 0.
 ///
 ///   /metricsz       Prometheus text exposition (rollup() first)
 ///   /metricsz.json  registry snapshot as JSON
-///   /healthz        fleet + per-stream SLO states; 503 when UNHEALTHY
+///   /healthz        fleet worst-of + one row per stream: shard, name, SLO
+///                   state, ladder level and counts; 503 when UNHEALTHY
 ///   /tracez         tail-sampler retained chains + per-span-name stats
-///   /flightz        flight-recorder bundle, on demand
-///   /statusz        uptime, build identity, serving configuration
+///   /flightz        flight-recorder bundle of ?shard=N (default 0); 404
+///                   for an unknown shard
+///   /statusz        role, uptime, build, config, streams per shard,
+///                   admission aggregate
 ///   /profilez       span-sampling profile over ?seconds=N (collapsed text;
 ///                   ?format=json for the structured report)
 struct StreamOpsConfig {
@@ -297,15 +302,22 @@ class StreamServer {
   [[nodiscard]] const std::vector<obs::HealthState>& stream_health() const {
     return stream_health_;
   }
-  /// Live per-stream health: mid-serve the SLO monitors answer with their
-  /// current state-machine position; between serves (or with monitoring
-  /// disabled) the last serve's verdicts answer. This is what /healthz
-  /// renders, exposed directly so a fronting aggregator (the sharded
-  /// server) can fold shard health without an HTTP hop.
-  [[nodiscard]] std::vector<obs::HealthState> live_stream_health() const;
-  /// Worst-of rollup of stream_health(): one saturated stream is visible
+  /// Worst-of rollup of ObsView::health: one saturated stream is visible
   /// here no matter how many healthy neighbours it has.
-  [[nodiscard]] obs::HealthState fleet_health() const { return fleet_health_; }
+  [[nodiscard]] obs::HealthState fleet_health() const;
+
+  /// The most recent serve()'s observability state; the pointers are
+  /// nullptr before any serve and valid only inside with_obs().
+  struct ObsView {
+    /// Live per-stream health: mid-serve the SLO monitors' current state;
+    /// between serves (or with monitoring off) the last serve's verdicts.
+    std::vector<obs::HealthState> health;
+    AdmissionController* admission;
+    obs::TraceSampler* sampler;
+    obs::FlightRecorder* recorder;
+  };
+  /// Runs `fn` under the lock serve() swaps that state under.
+  void with_obs(const std::function<void(const ObsView&)>& fn) const;
 
   /// Tail sampler fed by the most recent serve() (nullptr before any).
   /// Retained chains and SpanStats cover that serve's frames.
@@ -327,43 +339,35 @@ class StreamServer {
   /// The admission controller of the most recent serve() with at least one
   /// source (nullptr before any). Live during a serve: /healthz and
   /// /statusz read current levels and stats from it.
-  [[nodiscard]] AdmissionController* admission() const {
-    return admission_.get();
-  }
+  [[nodiscard]] AdmissionController* admission() const;
 
   /// The embedded ops listener (nullptr unless config().ops.enabled).
   /// Running from construction to destruction; its port() is where
   /// /metricsz etc. answer.
-  [[nodiscard]] obs::OpsServer* ops_server() const { return ops_.get(); }
+  [[nodiscard]] obs::OpsServer* ops_server() const;
   /// The /profilez profiler (nullptr unless config().ops.enabled). Usable
   /// directly too: profiler()->run_for(...) during a serve() on another
   /// thread.
-  [[nodiscard]] obs::SampleProfiler* profiler() const {
-    return profiler_.get();
-  }
+  [[nodiscard]] obs::SampleProfiler* profiler() const;
 
  private:
-  void install_ops_endpoints();
-
   const core::AdaptiveSystem* system_;
   StreamServerConfig config_;
   soc::EventLog log_;
   HealthCallback health_callback_;
-  /// Guards the swap of the per-serve observability objects (sampler_,
-  /// recorder_, monitors_, stream_health_, fleet_health_) between serve()
-  /// and the ops handler threads. The objects themselves are internally
-  /// thread-safe; only the pointers/containers need the lock.
+  /// Guards the swap of the per-serve observability objects (admission_,
+  /// sampler_, recorder_, monitors_, stream_health_) between serve() and
+  /// the threads reading them through with_obs(). The objects themselves
+  /// are internally thread-safe; only the pointers/containers need the lock.
   mutable std::mutex obs_mutex_;
   std::vector<obs::HealthState> stream_health_;
-  obs::HealthState fleet_health_ = obs::HealthState::Healthy;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<obs::TraceSampler> sampler_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::vector<std::unique_ptr<obs::SloMonitor>> monitors_;
-  std::unique_ptr<obs::SampleProfiler> profiler_;
-  std::unique_ptr<obs::OpsServer> ops_;
   std::string last_flight_bundle_path_;
   std::atomic<std::uint64_t> serve_count_{0};  ///< bundle names + /statusz
+  std::unique_ptr<OpsSurface> ops_;  ///< last: its handlers read the above
 };
 
 }  // namespace avd::runtime

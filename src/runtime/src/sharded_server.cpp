@@ -1,24 +1,13 @@
 #include "avd/runtime/sharded_server.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "avd/obs/build_info.hpp"
 #include "avd/obs/metrics.hpp"
+#include "ops_surface.hpp"
 
 namespace avd::runtime {
-namespace {
-
-obs::HealthState worse(obs::HealthState a, obs::HealthState b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
-}  // namespace
 
 std::uint64_t stable_stream_hash(std::string_view name) noexcept {
   // FNV-1a, 64-bit: offset basis / prime from the reference parameters.
@@ -37,19 +26,23 @@ ShardedServer::ShardedServer(const core::AdaptiveSystem& system,
   // The fleet has one ops surface; a shard template smuggling its own in
   // would race M listeners for one port.
   config_.shard.ops.enabled = false;
-  if (config_.ops_enabled) {
-    ops_ = std::make_unique<obs::OpsServer>(config_.ops);
-    install_ops_endpoints();
-    if (!ops_->start())
-      throw std::runtime_error("ShardedServer: ops server failed to bind " +
-                               config_.ops.bind_address + ":" +
-                               std::to_string(config_.ops.port));
-  }
+  if (config_.ops_enabled)
+    ops_ = std::make_unique<OpsSurface>(
+        OpsSurface::Owner{"sharded-front-door", &config_.shard,
+                          config_.shards, config_.fleet_pressure_fraction,
+                          &serve_count_},
+        config_.ops,
+        [this](const auto& visit) {
+          std::lock_guard<std::mutex> lock(shards_mutex_);
+          for (const auto& shard : shard_servers_) visit(*shard);
+        });
 }
 
-ShardedServer::~ShardedServer() {
-  // Handler threads walk shard_servers_; take the listener down first.
-  if (ops_) ops_->stop();
+// Handler threads walk shard_servers_; take the listener down first.
+ShardedServer::~ShardedServer() { ops_.reset(); }
+
+obs::OpsServer* ShardedServer::ops_server() const {
+  return ops_ ? ops_->server() : nullptr;
 }
 
 int ShardedServer::shard_of(const std::string& name) const {
@@ -100,11 +93,9 @@ std::vector<StreamResult> ShardedServer::serve(
   {
     std::lock_guard<std::mutex> lock(shards_mutex_);
     shard_servers_.clear();
-    shard_stream_names_ = shard_names;
     last_assignment_ = assignment;
     for (int m = 0; m < m_shards; ++m) {
       StreamServerConfig sc = config_.shard;
-      sc.ops.enabled = false;
       sc.metric_labels.emplace_back("shard", std::to_string(m));
       sc.stream_names = shard_names[static_cast<std::size_t>(m)];
       shard_servers_.push_back(
@@ -156,115 +147,31 @@ std::vector<int> ShardedServer::last_assignment() const {
 obs::HealthState ShardedServer::fleet_health() const {
   obs::HealthState worst = obs::HealthState::Healthy;
   std::lock_guard<std::mutex> lock(shards_mutex_);
-  for (const auto& shard : shard_servers_) {
-    const std::vector<obs::HealthState> states = shard->live_stream_health();
-    worst = worse(worst, obs::worst_of(states));
-  }
+  for (const auto& shard : shard_servers_)
+    worst = std::max(worst, shard->fleet_health());
   return worst;
 }
 
 void ShardedServer::update_fleet_pressure() {
   // Fleet view: degraded-or-worse fraction across EVERY shard's streams.
-  std::size_t total = 0, hot = 0;
   std::lock_guard<std::mutex> lock(shards_mutex_);
-  for (const auto& shard : shard_servers_) {
-    for (const obs::HealthState s : shard->live_stream_health()) {
-      ++total;
-      if (s != obs::HealthState::Healthy) ++hot;
-    }
-  }
+  std::size_t total = 0, hot = 0;
+  for (const auto& shard : shard_servers_)
+    shard->with_obs([&](const StreamServer::ObsView& view) {
+      for (const obs::HealthState s : view.health) {
+        ++total;
+        if (s != obs::HealthState::Healthy) ++hot;
+      }
+    });
   const bool pressure =
       total > 0 && static_cast<double>(hot) >=
                        config_.fleet_pressure_fraction *
                            static_cast<double>(total);
   for (const auto& shard : shard_servers_)
-    if (AdmissionController* admission = shard->admission())
-      admission->set_fleet_pressure(pressure);
-}
-
-// The fleet introspection surface. Handlers run on the front door's pool
-// threads concurrently with serve(); everything crosses shards_mutex_ or
-// is internally thread-safe (registry, shard accessors).
-void ShardedServer::install_ops_endpoints() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-
-  // One scrape answers for the whole fleet: prometheus_response folds the
-  // registry first, so shard= marginals and the fleet base are fresh.
-  ops_->handle("/metricsz", [&registry](const obs::HttpRequest&) {
-    return obs::prometheus_response(registry);
-  });
-  ops_->handle("/metricsz.json", [&registry](const obs::HttpRequest&) {
-    return obs::metrics_json_response(registry);
-  });
-
-  // Fleet health: worst-of across every shard; 503 when UNHEALTHY, so the
-  // front door slots straight into a load balancer's readiness probe.
-  ops_->handle("/healthz", [this](const obs::HttpRequest&) {
-    std::ostringstream os;
-    obs::HealthState fleet = obs::HealthState::Healthy;
-    {
-      std::lock_guard<std::mutex> lock(shards_mutex_);
-      os << "{\"shards\":[";
-      for (std::size_t m = 0; m < shard_servers_.size(); ++m) {
-        const StreamServer& shard = *shard_servers_[m];
-        const std::vector<obs::HealthState> states =
-            shard.live_stream_health();
-        fleet = worse(fleet, obs::worst_of(states));
-        AdmissionController* admission = shard.admission();
-        if (m != 0) os << ',';
-        os << "{\"shard\":" << m << ",\"streams\":[";
-        for (std::size_t s = 0; s < states.size(); ++s) {
-          if (s != 0) os << ',';
-          os << "{\"stream\":\""
-             << (m < shard_stream_names_.size() &&
-                         s < shard_stream_names_[m].size()
-                     ? shard_stream_names_[m][s]
-                     : std::to_string(s))
-             << "\",\"state\":\"" << obs::to_string(states[s]) << '"';
-          if (admission != nullptr)
-            os << ",\"degrade_level\":"
-               << static_cast<int>(admission->level(static_cast<int>(s)));
-          os << '}';
-        }
-        os << "]}";
-      }
-      os << "],\"fleet\":\"" << obs::to_string(fleet) << "\"}";
-    }
-    obs::HttpResponse res;
-    res.status = fleet == obs::HealthState::Unhealthy ? 503 : 200;
-    res.content_type = "application/json";
-    res.body = os.str();
-    return res;
-  });
-
-  ops_->handle("/statusz", [this, &registry](const obs::HttpRequest&) {
-    obs::publish_process_metrics(registry);
-    std::ostringstream os;
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_time_)
-            .count();
-    os << "{\"role\":\"sharded-front-door\",\"build\":{\"version\":\""
-       << obs::build_version() << "\",\"mode\":\"" << obs::build_mode()
-       << "\"},\"uptime_seconds\":" << uptime
-       << ",\"serves\":" << serve_count_.load()
-       << ",\"config\":{\"shards\":" << config_.shards
-       << ",\"fleet_pressure_fraction\":" << config_.fleet_pressure_fraction
-       << ",\"cross_stream_batching\":"
-       << (config_.shard.cross_stream_batching ? "true" : "false")
-       << ",\"detect_workers\":" << config_.shard.detect_workers
-       << "},\"shards\":[";
-    {
-      std::lock_guard<std::mutex> lock(shards_mutex_);
-      for (std::size_t m = 0; m < shard_stream_names_.size(); ++m) {
-        if (m != 0) os << ',';
-        os << "{\"shard\":" << m
-           << ",\"streams\":" << shard_stream_names_[m].size() << '}';
-      }
-    }
-    os << "]}";
-    return obs::HttpResponse{200, "application/json", os.str()};
-  });
+    shard->with_obs([pressure](const StreamServer::ObsView& view) {
+      if (view.admission != nullptr)
+        view.admission->set_fleet_pressure(pressure);
+    });
 }
 
 }  // namespace avd::runtime

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -13,14 +12,13 @@
 #include <stdexcept>
 #include <thread>
 
-#include "avd/obs/build_info.hpp"
 #include "avd/obs/frame_trace.hpp"
-#include "avd/obs/json.hpp"
 #include "avd/obs/metrics.hpp"
 #include "avd/obs/telemetry.hpp"
 #include "avd/obs/trace.hpp"
 #include "avd/runtime/fault_injection.hpp"
 #include "avd/runtime/thread_pool.hpp"
+#include "ops_surface.hpp"
 
 namespace avd::runtime {
 namespace {
@@ -160,27 +158,16 @@ StreamServer::StreamServer(const core::AdaptiveSystem& system,
   config_.control_workers = std::max(1, config_.control_workers);
   config_.detect_workers = std::max(1, config_.detect_workers);
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.ops.enabled) {
-    if (!(config_.ops.max_profile_seconds > 0.0))
-      config_.ops.max_profile_seconds = 10.0;
-    profiler_ = std::make_unique<obs::SampleProfiler>(config_.ops.profiler);
-    ops_ = std::make_unique<obs::OpsServer>(config_.ops.server);
-    install_ops_endpoints();
-    if (!ops_->start())
-      throw std::runtime_error(
-          "StreamServer: ops server failed to bind " +
-          config_.ops.server.bind_address + ":" +
-          std::to_string(config_.ops.server.port));
-  }
+  if (config_.ops.enabled)
+    ops_ = std::make_unique<OpsSurface>(
+        OpsSurface::Owner{"stream-server", &config_, 1, 0.0, &serve_count_},
+        config_.ops.server,
+        [this](const auto& visit) { visit(*this); });
 }
 
-StreamServer::~StreamServer() {
-  // Ops handler threads read the members below; take them down first. The
-  // profiler's timer thread only touches the (global) tracer, but a window
-  // left running would outlive its owner.
-  if (ops_) ops_->stop();
-  if (profiler_) profiler_->stop();
-}
+// The ops surface (and with it the listener) goes first: its handler
+// threads read this server's per-serve state.
+StreamServer::~StreamServer() { ops_.reset(); }
 
 std::vector<StreamResult> StreamServer::serve_sequences(
     const std::vector<data::DriveSequence>& sequences) {
@@ -199,7 +186,6 @@ std::vector<StreamResult> StreamServer::serve(
   {
     std::lock_guard<std::mutex> lock(obs_mutex_);
     stream_health_.assign(sources.size(), obs::HealthState::Healthy);
-    fleet_health_ = obs::HealthState::Healthy;
   }
   if (n_streams == 0) return results;
 
@@ -295,12 +281,6 @@ std::vector<StreamResult> StreamServer::serve(
   auto controller =
       std::make_unique<AdmissionController>(n_streams, config_.admission);
   AdmissionController& admission = *controller;
-  {
-    // Publish to the ops plane before workers start: /healthz and /statusz
-    // read levels and stats from it live.
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    admission_ = std::move(controller);
-  }
 
   // --- tail sampler + flight recorder ----------------------------------
   // Fresh per serve() so their contents describe exactly this run. The
@@ -325,12 +305,15 @@ std::vector<StreamResult> StreamServer::serve(
         << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
         << "\",\"frame_budget_ms\":" << config_.slo.frame_budget_ms << '}';
     recorder->set_config_json(cfg.str());
-    // Swap under the obs lock: ops handler threads may hold the previous
-    // serve's sampler/recorder pointers mid-request otherwise.
+    // Swap under the obs lock, before workers start: with_obs() readers
+    // may hold the previous serve's pointers mid-request otherwise, and
+    // /healthz reads ladder levels and stats live.
     std::lock_guard<std::mutex> lock(obs_mutex_);
+    admission_ = std::move(controller);
     sampler_ = std::move(sampler);
     recorder_ = std::move(recorder);
   }
+  obs::FlightRecorder* const recorder = recorder_.get();
   last_flight_bundle_path_.clear();
   const std::uint64_t serve_id = serve_count_.fetch_add(1) + 1;
   std::atomic<bool> flight_dump_requested{false};
@@ -340,7 +323,6 @@ std::vector<StreamResult> StreamServer::serve(
     // on the tracer (so retained chains show WHY fidelity changed), and a
     // flight-recorder transition row (reusing the HealthTransition record
     // with a "/degrade" entity suffix).
-    obs::FlightRecorder* recorder = recorder_.get();
     std::vector<StreamCounters>* counter_ptr = &counters;
     admission.set_transition_callback(
         [recorder, counter_ptr](const DegradeTransition& t) {
@@ -388,7 +370,6 @@ std::vector<StreamResult> StreamServer::serve(
       // user's callback chains after.
       const int stream = s;
       HealthCallback cb = health_callback_;
-      obs::FlightRecorder* recorder = recorder_.get();
       auto* dump_requested = &flight_dump_requested;
       monitor->set_callback(
           [stream, cb, recorder, dump_requested](
@@ -404,7 +385,6 @@ std::vector<StreamResult> StreamServer::serve(
     tc.period = config_.slo.telemetry_period;
     tc.jsonl_path = config_.slo.telemetry_jsonl;
     tc.rollup_before_sample = true;  // rows carry per-stream AND fleet view
-    obs::FlightRecorder* recorder = recorder_.get();
     // Raw pointers by value: the monitors move into monitors_ below and
     // outlive the exporter (stopped before the next serve() replaces them).
     std::vector<obs::SloMonitor*> monitor_ptrs;
@@ -961,7 +941,7 @@ std::vector<StreamResult> StreamServer::serve(
     const std::vector<obs::FrameTrace> chains =
         obs::assemble_frame_traces(spans);
     sampler_->ingest(chains);
-    for (const obs::FrameTrace& chain : chains) recorder_->record_frame(chain);
+    for (const obs::FrameTrace& chain : chains) recorder->record_frame(chain);
     registry.gauge("obs.sampler.frames_seen")
         .set(static_cast<double>(sampler_->frames_seen()));
     registry.gauge("obs.sampler.frames_retained")
@@ -980,7 +960,7 @@ std::vector<StreamResult> StreamServer::serve(
     if (!dir.empty()) {
       const std::string path = dir + "/flight_bundle_serve" +
                                std::to_string(serve_id) + ".json";
-      if (recorder_->dump_to_file(path, "health transition to UNHEALTHY"))
+      if (recorder->dump_to_file(path, "health transition to UNHEALTHY"))
         last_flight_bundle_path_ = path;
     }
   }
@@ -1031,213 +1011,40 @@ std::vector<StreamResult> StreamServer::serve(
       os << ", health " << obs::to_string(result.health);
     log_.record(now_tp(), "runtime/server", os.str());
   }
-  {
-    std::lock_guard<std::mutex> lock(obs_mutex_);
-    fleet_health_ = obs::worst_of(stream_health_);
-  }
   return results;
 }
 
-std::vector<obs::HealthState> StreamServer::live_stream_health() const {
+void StreamServer::with_obs(
+    const std::function<void(const ObsView&)>& fn) const {
   std::lock_guard<std::mutex> lock(obs_mutex_);
-  if (!monitors_.empty()) {
-    std::vector<obs::HealthState> states;
-    states.reserve(monitors_.size());
-    for (const auto& m : monitors_) states.push_back(m->state());
-    return states;
+  ObsView view{{}, admission_.get(), sampler_.get(), recorder_.get()};
+  if (monitors_.empty()) {
+    view.health = stream_health_;
+  } else {
+    view.health.reserve(monitors_.size());
+    for (const auto& m : monitors_) view.health.push_back(m->state());
   }
-  return stream_health_;
+  fn(view);
 }
 
-// The standard introspection surface (see StreamOpsConfig). Handlers run on
-// the ops server's pool threads, concurrently with serve(): everything they
-// read is either internally thread-safe (registry, sampler, recorder,
-// monitors, profiler) or swapped under obs_mutex_.
-void StreamServer::install_ops_endpoints() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+obs::HealthState StreamServer::fleet_health() const {
+  obs::HealthState worst = obs::HealthState::Healthy;
+  with_obs(
+      [&worst](const ObsView& view) { worst = obs::worst_of(view.health); });
+  return worst;
+}
 
-  ops_->handle("/metricsz", [&registry](const obs::HttpRequest&) {
-    return obs::prometheus_response(registry);
-  });
-  ops_->handle("/metricsz.json", [&registry](const obs::HttpRequest&) {
-    return obs::metrics_json_response(registry);
-  });
+AdmissionController* StreamServer::admission() const {
+  std::lock_guard<std::mutex> lock(obs_mutex_);
+  return admission_.get();
+}
 
-  // Live health: mid-serve the monitors answer with their current state
-  // machine position; between serves (or with monitoring disabled) the last
-  // serve's verdicts answer. 503 on an UNHEALTHY fleet makes this directly
-  // usable as a load-balancer / orchestrator readiness probe.
-  ops_->handle("/healthz", [this](const obs::HttpRequest&) {
-    std::vector<obs::HealthState> states = live_stream_health();
-    struct OverloadRow {
-      DegradeLevel level = DegradeLevel::Full;
-      AdmissionStats stats;
-    };
-    std::vector<OverloadRow> overload;
-    {
-      // Rows exist once a serve has built its controller. Bounded by both
-      // sizes: a serve that has just reset the health vector may not have
-      // replaced the previous serve's controller yet.
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (admission_) {
-        overload.resize(std::min(
-            states.size(), static_cast<std::size_t>(admission_->n_streams())));
-        for (std::size_t s = 0; s < overload.size(); ++s) {
-          overload[s].level = admission_->level(static_cast<int>(s));
-          overload[s].stats = admission_->stats(static_cast<int>(s));
-        }
-      }
-    }
-    const obs::HealthState fleet = obs::worst_of(states);
-    std::ostringstream os;
-    os << "{\"fleet\":\"" << obs::to_string(fleet) << "\",\"admission\":"
-       << (config_.admission.enabled ? "true" : "false") << ",\"streams\":[";
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      if (s != 0) os << ',';
-      os << "{\"stream\":" << s << ",\"state\":\""
-         << obs::to_string(states[s]) << "\"";
-      if (s < overload.size()) {
-        const OverloadRow& row = overload[s];
-        os << ",\"degrade_level\":" << static_cast<int>(row.level)
-           << ",\"admitted\":" << row.stats.admitted
-           << ",\"shed\":" << row.stats.shed
-           << ",\"coasted\":" << row.stats.coasted
-           << ",\"degraded_scans\":" << row.stats.degraded_scans;
-      }
-      os << "}";
-    }
-    os << "]}";
-    obs::HttpResponse res;
-    res.status = fleet == obs::HealthState::Unhealthy ? 503 : 200;
-    res.content_type = "application/json";
-    res.body = os.str();
-    return res;
-  });
+obs::OpsServer* StreamServer::ops_server() const {
+  return ops_ ? ops_->server() : nullptr;
+}
 
-  ops_->handle("/tracez", [this](const obs::HttpRequest&) {
-    std::vector<obs::RetainedFrame> retained;
-    std::vector<obs::SpanStats> stats;
-    std::uint64_t frames_seen = 0, frames_retained = 0, spans_seen = 0,
-                  evicted = 0;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (sampler_) {
-        retained = sampler_->retained();
-        stats = sampler_->stats();
-        frames_seen = sampler_->frames_seen();
-        frames_retained = sampler_->frames_retained();
-        spans_seen = sampler_->spans_seen();
-        evicted = sampler_->retained_evicted();
-      }
-    }
-    std::ostringstream os;
-    os << "{\"frames_seen\":" << frames_seen
-       << ",\"frames_retained\":" << frames_retained
-       << ",\"spans_seen\":" << spans_seen
-       << ",\"retained_evicted\":" << evicted << ",\"span_stats\":[";
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      if (i != 0) os << ',';
-      os << obs::to_json(stats[i]);
-    }
-    os << "],\"retained\":[";
-    for (std::size_t i = 0; i < retained.size(); ++i) {
-      if (i != 0) os << ',';
-      os << obs::to_json(retained[i]);
-    }
-    os << "]}";
-    return obs::HttpResponse{200, "application/json", os.str()};
-  });
-
-  ops_->handle("/flightz", [this](const obs::HttpRequest&) {
-    std::string body;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (recorder_) body = recorder_->dump("ops /flightz request");
-    }
-    if (body.empty())
-      body =
-          "{\"reason\":\"no serve has run yet\",\"streams\":{},"
-          "\"telemetry\":[],\"slo_transitions\":[]}";
-    return obs::HttpResponse{200, "application/json", std::move(body)};
-  });
-
-  ops_->handle("/statusz", [this, &registry](const obs::HttpRequest&) {
-    obs::publish_process_metrics(registry);  // keep /statusz and /metricsz in sync
-    // Aggregate overload accounting across streams (zero before the first
-    // serve — the fields are always present so parsers stay simple).
-    AdmissionStats totals;
-    int max_level = 0;
-    bool admission_live = false;
-    {
-      std::lock_guard<std::mutex> lock(obs_mutex_);
-      if (admission_) {
-        admission_live = true;
-        for (int s = 0; s < admission_->n_streams(); ++s) {
-          const AdmissionStats st = admission_->stats(s);
-          totals.admitted += st.admitted;
-          totals.shed += st.shed;
-          totals.shed_by_bucket += st.shed_by_bucket;
-          totals.coasted += st.coasted;
-          totals.degraded_scans += st.degraded_scans;
-          max_level =
-              std::max(max_level, static_cast<int>(admission_->level(s)));
-        }
-      }
-    }
-    std::ostringstream os;
-    os << "{\"build\":{\"version\":\"" << obs::json::escape(obs::build_version())
-       << "\",\"mode\":\"" << obs::json::escape(obs::build_mode())
-       << "\"},\"uptime_seconds\":" << obs::process_uptime_seconds()
-       << ",\"serves\":" << serve_count_.load()
-       << ",\"ops_requests\":" << ops_->requests_served()
-       << ",\"config\":{\"ingest_workers\":" << config_.ingest_workers
-       << ",\"control_workers\":" << config_.control_workers
-       << ",\"detect_workers\":" << config_.detect_workers
-       << ",\"queue_capacity\":" << config_.queue_capacity
-       << ",\"detect_policy\":\"" << to_string(config_.detect_policy)
-       << "\",\"slo_enabled\":" << (config_.slo.enabled ? "true" : "false")
-       << ",\"frame_budget_ms\":" << config_.slo.frame_budget_ms
-       << ",\"admission_enabled\":"
-       << (config_.admission.enabled ? "true" : "false")
-       << ",\"watchdog_enabled\":"
-       << (config_.watchdog.enabled ? "true" : "false")
-       << ",\"fault_injection\":"
-       << (config_.fault_injector != nullptr ? "true" : "false")
-       << ",\"ops_port\":" << ops_->port()
-       << ",\"profiler_hz\":" << profiler_->config().hz
-       << ",\"max_profile_seconds\":" << config_.ops.max_profile_seconds
-       << "},\"admission\":{\"live\":" << (admission_live ? "true" : "false")
-       << ",\"max_degrade_level\":" << max_level
-       << ",\"admitted\":" << totals.admitted
-       << ",\"shed\":" << totals.shed
-       << ",\"shed_by_bucket\":" << totals.shed_by_bucket
-       << ",\"coasted\":" << totals.coasted
-       << ",\"degraded_scans\":" << totals.degraded_scans << "}}";
-    return obs::HttpResponse{200, "application/json", os.str()};
-  });
-
-  // On-demand profile: blocks its handler thread for the window (clamped to
-  // max_profile_seconds); concurrent requests serialise inside run_for().
-  ops_->handle("/profilez", [this](const obs::HttpRequest& req) {
-    // std::from_chars is locale-independent: "1,5" is rejected outright
-    // instead of silently parsing as 1 (or as 1.5 under a comma-decimal
-    // locale), and must consume the whole value.
-    const std::string secs = req.query_value("seconds", "1");
-    double seconds = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(secs.data(), secs.data() + secs.size(), seconds);
-    if (ec != std::errc{} || ptr != secs.data() + secs.size() ||
-        !(seconds > 0.0))
-      return obs::HttpResponse{400, "text/plain; charset=utf-8",
-                               "bad seconds value: " + secs + "\n"};
-    seconds = std::min(seconds, config_.ops.max_profile_seconds);
-    const obs::ProfileReport report = profiler_->run_for(
-        std::chrono::milliseconds(static_cast<long>(seconds * 1000.0)));
-    if (req.query_value("format") == "json")
-      return obs::HttpResponse{200, "application/json", report.to_json()};
-    return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                             report.to_collapsed()};
-  });
+obs::SampleProfiler* StreamServer::profiler() const {
+  return ops_ ? ops_->profiler() : nullptr;
 }
 
 }  // namespace avd::runtime

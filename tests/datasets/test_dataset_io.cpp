@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "temp_dir.hpp"
 namespace avd::data {
@@ -52,6 +54,19 @@ TEST_F(DatasetIoTest, FilesOnDiskAreReadablePgms) {
 
 TEST_F(DatasetIoTest, MissingDirectoryThrows) {
   EXPECT_THROW((void)load_dataset(dir_ + "/nope"), std::runtime_error);
+}
+
+TEST_F(DatasetIoTest, HugeCountWithoutRowsThrowsTruncated) {
+  // 4e9 patches would be hundreds of GB if sized from the header.
+  std::filesystem::create_directories(dir_);
+  std::ofstream(dir_ + "/index.txt") << "avd-patches 4000000000 day\n";
+  try {
+    (void)load_dataset(dir_);
+    FAIL() << "load_dataset accepted an index with no rows";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated index"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(DatasetIoTest, BadHeaderThrows) {
